@@ -31,11 +31,17 @@ class CountResult:
         return cls(count, total, Fraction(count, total))
 
 
+def _require_degree(d: int):
+    if d < 0:
+        raise DomainError(f"degree must be >= 0, got {d}")
+
+
 def count_monic_separable_prime(p: int, d: int) -> int:
     """Carlitz: monic separable polynomials of degree d over Z/p.
 
     p^d - p^(d-1) for d >= 2; p for d = 1; 1 for d = 0.
     """
+    _require_degree(d)
     if d == 0:
         return 1
     if d == 1:
@@ -46,6 +52,7 @@ def count_monic_separable_prime(p: int, d: int) -> int:
 def count_monic_separable_primepower(p: int, k: int, d: int) -> int:
     """Monic separable polynomials of degree d over Z/p^k: phi(p^(kd)) for
     d >= 2; p^k for d = 1; 1 for d = 0."""
+    _require_degree(d)
     if d == 0:
         return 1
     if d == 1:
@@ -76,6 +83,7 @@ def proportion_monic_separable(m: Modulus, d: int = 2) -> Fraction:
 def count_separable_leq_primepower(p: int, k: int, d: int) -> int:
     """Separable polynomials of degree <= d over Z/p^k (arbitrary leading
     coefficient): phi(p^k) * p^((k-1)d) * (p^d + 1); phi(p^k) at d = 0."""
+    _require_degree(d)
     phi = totient_prime_power(p, k)
     if d == 0:
         return phi
@@ -93,6 +101,7 @@ def count_separable_leq(m: Modulus, d: int) -> CountResult:
 
 def count_separable_exact(m: Modulus, d: int) -> int:
     """Separable polynomials of degree exactly d over Z/n."""
+    _require_degree(d)
     if d == 0:
         return totient(m)
     return count_separable_leq(m, d).count - count_separable_leq(m, d - 1).count

@@ -1,23 +1,44 @@
 """Brute-force enumeration of separable polynomials over Z/n.
 
-The ground truth the census formulas are verified against: every coefficient
-tuple in the queried set is materialized and tested with septest.is_separable.
-The coefficient space is walked as mixed-radix counters (d + 1 digits, base
-n), split into contiguous index ranges for parallel workers; the reduction
-is a plain sum, so worker count and partition order cannot affect results.
+The ground truth the census formulas are verified against.  A polynomial
+over Z/n is separable exactly when its reduction mod every prime p | n is
+separable over the field Z/p; the oracle runs that test (the mod-p gcd
+kernel of septest.is_separable) on every coefficient tuple of the queried
+set, memoized on the reduced tuples, and uses no counting formula.
+
+The space is walked by a mixed-radix odometer whose digit i is coefficient
+i, coefficient 0 fastest, so index t names the same tuple in every walk and
+every split.  For each prime p | n the odometer also carries the index of
+the current tuple reduced mod p.  For p < n that index addresses a verdict
+table of p^D bytes (D free digits: d for monic, d + 1 otherwise), filled
+lazily: an entry is computed by the gcd kernel the first time its reduced
+tuple comes up, then read back for every tuple with that reduction.  When
+p == n every reduced tuple is distinct, so no table is built and each
+verdict is computed directly.  The distinct primes of a composite n sum to
+at most n - 1, so the tables together hold no more bytes than the space has
+tuples (at D = 0, one byte per prime): the budget bounds memory as well as
+time.  Digit 0 is stepped a row at a time: the row's verdicts for each
+prime are its table slice repeated n/p times, and a tuple is counted where
+every prime's verdict is 1.
+
+The space is split into contiguous index ranges for parallel workers, each
+building its own tables; the reduction is a plain sum, so worker count and
+partition order cannot affect results.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 from . import census
-from .arith import Modulus
-from .poly import PolyZn
-from .septest import is_separable
+from .arith import DomainError, Modulus
+# Not called here; perfbench/spans.py wraps oracle.PolyZn to count calls.
+from .poly import PolyZn  # noqa: F401
+from .septest import _separable_coeffs_mod_p
 
 DEFAULT_BUDGET = 10**8
 
@@ -35,6 +56,11 @@ class EnumerationQuery:
     modulus: Modulus
     degree_bound: int
     mode: Mode
+
+    def __post_init__(self):
+        if self.degree_bound < 0:
+            raise DomainError(
+                f"degree must be >= 0, got {self.degree_bound}")
 
 
 class BudgetExceeded(Exception):
@@ -57,35 +83,85 @@ def space_size(q: EnumerationQuery) -> int:
     return (n - 1) * n**d
 
 
-def _decode(t: int, n: int, d: int, mode: Mode) -> list[int]:
-    """Coefficient tuple (ascending) for index t of the mode's space."""
-    if mode is Mode.LEQ:
-        digits = d + 1
-        lead = None
-    elif mode is Mode.MONIC:
-        digits = d
-        lead = 1
-    else:
-        t, q = t % n**d, t // n**d
-        digits = d
-        lead = q + 1
-    coeffs = []
-    for _ in range(digits):
-        t, r = divmod(t, n)
-        coeffs.append(r)
-    if lead is not None:
-        coeffs.append(lead)
-    return coeffs
+_UNKNOWN = 2  # a verdict-table entry not yet computed; verdicts are 0 or 1
+
+
+class _PrimeWalk:
+    """One prime p | n along the walk: its verdict table (None when p == n)
+    and the table index of the current row, the digits above digit 0
+    reduced mod p."""
+
+    __slots__ = ("p", "widths", "places", "reps", "key", "table")
+
+    def __init__(self, p: int, n: int, radix: list[int], offsets: list[int]):
+        self.p = p
+        # A digit's verdict depends on its offset only mod its width.
+        self.widths = [min(p, r) for r in radix]
+        self.places = [math.prod(self.widths[:i]) for i in range(len(radix))]
+        self.reps = -(-radix[0] // self.widths[0])
+        self.key = sum((j % w) * s for j, w, s in
+                       zip(offsets[1:], self.widths[1:], self.places[1:]))
+        self.table = (bytearray([_UNKNOWN]) * math.prod(self.widths)
+                      if p < n else None)
+
+    def step(self, i: int, old: int, new: int):
+        """Digit i >= 1 moved from offset old to offset new."""
+        w = self.widths[i]
+        self.key += (new % w - old % w) * self.places[i]
+
+    def row(self, coeffs: list[int], first: int, a: int, b: int) -> int:
+        """Verdicts mod p of the row's tuples whose digit 0 has offsets
+        a..b-1, as the bytes of an int, low byte first."""
+        p, table = self.p, self.table
+        if table is None:
+            verdicts = bytearray(b - a)
+            for j in range(a, b):
+                coeffs[0] = first + j
+                verdicts[j - a] = _separable_coeffs_mod_p(coeffs, p)
+            return int.from_bytes(verdicts, "little")
+        w, k = self.widths[0], self.key
+        seg = table[k:k + w]
+        if _UNKNOWN in seg:
+            for j in range(a, min(b, a + w)):
+                r = j % w
+                if seg[r] == _UNKNOWN:
+                    coeffs[0] = first + j
+                    seg[r] = table[k + r] = _separable_coeffs_mod_p(coeffs, p)
+        return int.from_bytes((seg * self.reps)[a:b], "little")
 
 
 def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
     """Separable tuples among indices [lo, hi) of the query's space."""
-    m = Modulus(n)
-    mode = Mode(mode)
-    count = 0
-    for t in range(lo, hi):
-        if is_separable(PolyZn(m, _decode(t, n, d, mode))):
-            count += 1
+    q = EnumerationQuery(Modulus(n), d, Mode(mode))
+    # Coefficient i is first[i] + offset, offset in range(radix[i]); the
+    # leading one is fixed at 1 (monic), nonzero (exact) or free (leq).
+    lead = {Mode.MONIC: (1, 1), Mode.EXACT: (1, n - 1), Mode.LEQ: (0, n)}
+    first = [0] * d + [lead[q.mode][0]]
+    radix = [n] * d + [lead[q.mode][1]]
+    offsets, t = [], lo
+    for r in radix:
+        t, j = divmod(t, r)
+        offsets.append(j)
+    coeffs = [f + j for f, j in zip(first, offsets)]
+    primes = [_PrimeWalk(p, n, radix, offsets) for p, _ in q.modulus.factors]
+    count, t = 0, lo
+    while t < hi:
+        a = offsets[0]
+        b = min(radix[0], a + hi - t)
+        bits = -1
+        for walk in primes:
+            bits &= walk.row(coeffs, first[0], a, b)
+        count += bits.bit_count()
+        t += b - a
+        offsets[0] = 0
+        for i in range(1, len(radix)):
+            old = offsets[i]
+            new = offsets[i] = (old + 1) % radix[i]
+            coeffs[i] = first[i] + new
+            for walk in primes:
+                walk.step(i, old, new)
+            if new:
+                break
     return count
 
 
@@ -154,6 +230,8 @@ def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
            workers: int = 1) -> list[VerificationReport]:
     """Compare every census formula with the oracle for all d <= d_max and
     all modes; queries over budget are reported as skipped."""
+    if d_max < 0:
+        raise DomainError(f"d_max must be >= 0, got {d_max}")
     reports = []
     for d in range(d_max + 1):
         for mode in Mode:

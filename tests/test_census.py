@@ -223,3 +223,17 @@ class TestErrata:
             minus *= 1 - Fraction(1, p**d)
         assert plus == 65028096 == count_separable_leq(m, d).count
         assert minus != 65028096
+
+
+class TestNegativeDegree:
+    @pytest.mark.parametrize("count", [
+        lambda: count_monic_separable_prime(5, -1),
+        lambda: count_monic_separable_primepower(2, 3, -1),
+        lambda: count_separable_leq_primepower(3, 2, -1),
+        lambda: count_monic_separable(Modulus(6), -1),
+        lambda: count_separable_leq(Modulus(6), -1),
+        lambda: count_separable_exact(Modulus(6), -1),
+    ])
+    def test_rejected(self, count):
+        with pytest.raises(DomainError):
+            count()

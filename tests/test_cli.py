@@ -175,3 +175,23 @@ def test_records_round_trip(capsys):
         status, recs = run_lines(capsys, argv)
         for rec in recs:
             assert json.loads(json.dumps(rec)) == rec
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--mode", "monic", "-n", "6", "-d", "-1"],
+    ["count", "--mode", "exact", "-n", "6", "-d", "-1"],
+    ["count", "--mode", "leq", "-n", "6", "-d", "-1"],
+    ["enumerate", "--mode", "monic", "-n", "6", "-d", "-1"],
+    ["enumerate", "-n", "6", "-d", "-1"],
+    ["enumerate", "--mode", "exact", "-n", "6", "-d", "-1", "--crt"],
+    ["verify", "-n", "6", "--d-max", "-1"],
+    ["table", "--n-min", "2", "--n-max", "4", "--d-min", "-1",
+     "--d-max", "1"],
+])
+def test_negative_degree_is_domain_error(capsys, argv):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("domain error: ")
+    assert "Traceback" not in captured.err

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepzn import census
-from sepzn.arith import Modulus
+from sepzn.arith import DomainError, Modulus
 from sepzn.oracle import (
     BudgetExceeded,
     EnumerationQuery,
@@ -12,6 +16,8 @@ from sepzn.oracle import (
     space_size,
     verify,
 )
+from sepzn.poly import PolyZn
+from sepzn.septest import is_separable
 
 
 class TestEnumerateCount:
@@ -113,3 +119,75 @@ class TestVerify:
         assert all(r.oracle_count is None and r.match is None for r in skipped)
         done = [r for r in reports if not r.skipped]
         assert done and all(r.match for r in done)
+
+
+class TestNegativeDegree:
+    def test_query_rejects_negative_degree(self):
+        with pytest.raises(DomainError):
+            EnumerationQuery(Modulus(6), -1, Mode.LEQ)
+
+    def test_count_range_rejects_negative_degree(self):
+        with pytest.raises(DomainError):
+            count_range(6, -1, Mode.MONIC, 0, 1)
+
+    def test_verify_rejects_negative_d_max(self):
+        with pytest.raises(DomainError):
+            verify(Modulus(6), -1)
+
+
+# Primes, prime powers and composites, so the walk runs with no verdict
+# table (p == n), with one table (n = p^k) and with several.
+MODULI = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 29, 53, 59]),
+    st.sampled_from([4, 8, 9, 25, 27, 49, 32]),
+    st.integers(min_value=2, max_value=60),
+)
+# Largest space a drawn query may have; it bounds how far the reference
+# below skips before its range.
+SPACE_CAP = 100_000
+
+
+def reference_count(n, d, mode, lo, hi):
+    """Separable tuples among indices [lo, hi), walking itertools.product
+    with coefficient 0 fastest (the oracle's index order) and testing each
+    tuple with septest.is_separable."""
+    m = Modulus(n)
+    lead = {Mode.MONIC: [range(1, 2)], Mode.EXACT: [range(1, n)],
+            Mode.LEQ: [range(n)]}[mode]
+    digits = lead + [range(n)] * d  # most significant first
+    tuples = itertools.islice(itertools.product(*digits), lo, hi)
+    return sum(is_separable(PolyZn(m, t[::-1])) for t in tuples)
+
+
+@st.composite
+def queries(draw):
+    n = draw(MODULI)
+    mode = draw(st.sampled_from(list(Mode)))
+    d_max = max(d for d in range(4)
+                if space_size(EnumerationQuery(Modulus(n), d, mode))
+                <= SPACE_CAP)
+    d = draw(st.integers(min_value=0, max_value=d_max))
+    return n, d, mode, space_size(EnumerationQuery(Modulus(n), d, mode))
+
+
+class TestWalkProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(queries(), st.data())
+    def test_range_matches_reference(self, query, data):
+        n, d, mode, size = query
+        lo = data.draw(st.integers(min_value=0, max_value=size))
+        hi = data.draw(st.integers(min_value=lo,
+                                   max_value=min(size, lo + 400)))
+        assert count_range(n, d, mode, lo, hi) == reference_count(
+            n, d, mode, lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(queries(), st.data())
+    def test_ranges_sum_to_whole(self, query, data):
+        n, d, mode, size = query
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=size), max_size=6)))
+        bounds = [0] + cuts + [size]
+        parts = [count_range(n, d, mode, lo, hi)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        assert sum(parts) == count_range(n, d, mode, 0, size)
