@@ -18,8 +18,8 @@ verdict is computed directly.  The distinct primes of a composite n sum to
 at most n - 1, so the tables together hold no more bytes than the space has
 tuples (at D = 0, one byte per prime): the budget bounds memory as well as
 time.  Digit 0 is stepped a row at a time: the row's verdicts for each
-prime are its table slice repeated n/p times, and a tuple is counted where
-every prime's verdict is 1.
+prime are its table slice tiled across the row, and a tuple is counted
+where every prime's verdict is 1.
 
 The space is split into contiguous index ranges for parallel workers, each
 building its own tables; the reduction is a plain sum, so worker count and
