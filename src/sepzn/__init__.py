@@ -1,22 +1,13 @@
 """Separable polynomials over Z/n: decision procedures, exact counting
 formulas, and a brute-force enumeration oracle that verifies them."""
 
-from .arith import (
-    DomainError,
-    Modulus,
-    Residue,
-    crt_combine,
-    crt_split,
-    factorize,
-    is_unit,
-    totient,
-    totient_of_power,
-)
+from .arith import DomainError, Modulus, factorize, totient
 from .census import (
     CountResult,
+    Mode,
+    count,
     count_leq_recurrence,
     count_monic_separable,
-    count_monic_separable_prime,
     count_monic_separable_primepower,
     count_separable_exact,
     count_separable_leq,
@@ -27,44 +18,21 @@ from .census import (
 from .oracle import (
     BudgetExceeded,
     EnumerationQuery,
-    Mode,
     VerificationReport,
     crt_product_count,
     enumerate_count,
     verify,
 )
-from .poly import (
-    PolyParseError,
-    PolyZn,
-    derivative,
-    format_poly,
-    gcd_over_prime_field,
-    make_monic_over_prime_field,
-    parse,
-    reduce_modulus,
-    rem_by_monic,
-)
-from .septest import (
-    TraceForm,
-    discriminant,
-    is_separable,
-    is_separable_monic,
-    is_separable_over_prime_field,
-    trace,
-    trace_form,
-)
+from .poly import PolyParseError, PolyZn, format_poly, parse
+from .septest import discriminant, is_separable, is_separable_monic, trace_form
 
 __all__ = [
     "BudgetExceeded", "CountResult", "DomainError", "EnumerationQuery",
-    "Mode", "Modulus", "PolyParseError", "PolyZn", "Residue", "TraceForm",
-    "VerificationReport", "count_leq_recurrence", "count_monic_separable",
-    "count_monic_separable_prime", "count_monic_separable_primepower",
-    "count_separable_exact", "count_separable_leq",
-    "count_separable_leq_primepower", "crt_combine", "crt_product_count",
-    "crt_split", "derivative", "discriminant", "enumerate_count",
-    "factorize", "format_poly", "gcd_over_prime_field", "geometric_sum",
-    "is_separable", "is_separable_monic", "is_separable_over_prime_field",
-    "is_unit", "make_monic_over_prime_field", "parse",
-    "proportion_monic_separable", "reduce_modulus", "rem_by_monic",
-    "totient", "totient_of_power", "trace", "trace_form", "verify",
+    "Mode", "Modulus", "PolyParseError", "PolyZn", "VerificationReport",
+    "count", "count_leq_recurrence", "count_monic_separable",
+    "count_monic_separable_primepower", "count_separable_exact",
+    "count_separable_leq", "count_separable_leq_primepower",
+    "crt_product_count", "discriminant", "enumerate_count", "factorize",
+    "format_poly", "geometric_sum", "is_separable", "is_separable_monic",
+    "parse", "proportion_monic_separable", "totient", "trace_form", "verify",
 ]

@@ -1,4 +1,4 @@
-"""Modular integer arithmetic over Z/n: factorization, totient, CRT.
+"""Integer arithmetic for Z/n: factorization and Euler's totient.
 
 All values are immutable and all functions are pure; counts use Python's
 arbitrary-precision integers throughout.
@@ -6,8 +6,6 @@ arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -58,9 +56,6 @@ class Modulus:
         """The moduli p^k of the CRT decomposition of Z/n."""
         return [Modulus(p**k) for p, k in self.factors]
 
-    def residue(self, value: int) -> "Residue":
-        return Residue(value, self)
-
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.n == other.n
 
@@ -69,25 +64,6 @@ class Modulus:
 
     def __repr__(self):
         return f"Modulus({self.n})"
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/n, stored as its canonical representative in [0, n)."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.n)
-
-    def __repr__(self):
-        return f"Residue({self.value} mod {self.modulus.n})"
-
-
-def is_unit(a: Residue) -> bool:
-    """True iff a is invertible in Z/n, i.e. gcd(a, n) = 1."""
-    return math.gcd(a.value, a.modulus.n) == 1
 
 
 def totient(m: Modulus) -> int:
@@ -103,39 +79,3 @@ def totient_prime_power(p: int, k: int) -> int:
     if k == 0:
         return 1
     return p**k - p ** (k - 1)
-
-
-def totient_of_power(m: Modulus, e: int) -> int:
-    """phi(n^e) computed from the factorization of n, without factoring n^e."""
-    if e < 1:
-        raise DomainError(f"exponent must be >= 1, got {e}")
-    result = 1
-    for p, k in m.factors:
-        result *= totient_prime_power(p, k * e)
-    return result
-
-
-def crt_split(a: Residue) -> list[Residue]:
-    """Image of a under Z/n = Z/p1^k1 x ... x Z/pm^km, one residue per factor."""
-    return [Residue(a.value, component)
-            for component in a.modulus.prime_power_components()]
-
-
-def crt_combine(parts: list[Residue]) -> Residue:
-    """Inverse of crt_split: the unique residue mod prod(n_i) matching every part.
-
-    The part moduli must be pairwise coprime.
-    """
-    if not parts:
-        raise DomainError("crt_combine needs at least one residue")
-    x = parts[0].value
-    m = parts[0].modulus.n
-    for part in parts[1:]:
-        m2 = part.modulus.n
-        if math.gcd(m, m2) != 1:
-            raise DomainError(f"moduli {m} and {m2} are not coprime")
-        # x + m*t = part.value (mod m2)
-        t = (part.value - x) * pow(m, -1, m2) % m2
-        x += m * t
-        m *= m2
-    return Residue(x, Modulus(m))

@@ -12,9 +12,18 @@ coefficient tuples of length d + 1, zero polynomial included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from .arith import DomainError, Modulus, totient, totient_prime_power
+
+
+class Mode(str, Enum):
+    """Which set of coefficient tuples of length d + 1 is counted."""
+
+    MONIC = "monic"  # monic of degree exactly d
+    LEQ = "leq"      # every tuple of length d + 1 (degree <= d)
+    EXACT = "exact"  # leading coefficient nonzero (degree exactly d)
 
 
 @dataclass(frozen=True)
@@ -26,32 +35,15 @@ class CountResult:
     total: int
     proportion: Fraction
 
-    @classmethod
-    def of(cls, count: int, total: int) -> "CountResult":
-        return cls(count, total, Fraction(count, total))
-
 
 def _require_degree(d: int):
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
 
 
-def count_monic_separable_prime(p: int, d: int) -> int:
-    """Carlitz: monic separable polynomials of degree d over Z/p.
-
-    p^d - p^(d-1) for d >= 2; p for d = 1; 1 for d = 0.
-    """
-    _require_degree(d)
-    if d == 0:
-        return 1
-    if d == 1:
-        return p
-    return p**d - p ** (d - 1)
-
-
 def count_monic_separable_primepower(p: int, k: int, d: int) -> int:
     """Monic separable polynomials of degree d over Z/p^k: phi(p^(kd)) for
-    d >= 2; p^k for d = 1; 1 for d = 0."""
+    d >= 2 (Carlitz's p^d - p^(d-1) at k = 1); p^k for d = 1; 1 for d = 0."""
     _require_degree(d)
     if d == 0:
         return 1
@@ -90,13 +82,13 @@ def count_separable_leq_primepower(p: int, k: int, d: int) -> int:
     return phi * p ** ((k - 1) * d) * (p**d + 1)
 
 
-def count_separable_leq(m: Modulus, d: int) -> CountResult:
+def count_separable_leq(m: Modulus, d: int) -> int:
     """Separable polynomials of degree <= d over Z/n, over all n^(d+1)
     coefficient tuples, by multiplicativity across the CRT components."""
-    count = 1
+    result = 1
     for p, k in m.factors:
-        count *= count_separable_leq_primepower(p, k, d)
-    return CountResult.of(count, m.n ** (d + 1))
+        result *= count_separable_leq_primepower(p, k, d)
+    return result
 
 
 def count_separable_exact(m: Modulus, d: int) -> int:
@@ -104,7 +96,22 @@ def count_separable_exact(m: Modulus, d: int) -> int:
     _require_degree(d)
     if d == 0:
         return totient(m)
-    return count_separable_leq(m, d).count - count_separable_leq(m, d - 1).count
+    return count_separable_leq(m, d) - count_separable_leq(m, d - 1)
+
+
+def count(m: Modulus, d: int, mode: Mode) -> CountResult:
+    """The separable count of one mode, the size of the set it is taken
+    over (n^d monic, n^(d+1) degree <= d, (n-1)n^d degree exactly d) and
+    their exact ratio."""
+    n = m.n
+    mode = Mode(mode)
+    if mode is Mode.MONIC:
+        c, total = count_monic_separable(m, d), n**d
+    elif mode is Mode.LEQ:
+        c, total = count_separable_leq(m, d), n ** (d + 1)
+    else:
+        c, total = count_separable_exact(m, d), (n - 1) * n**d
+    return CountResult(c, total, Fraction(c, total))
 
 
 def count_leq_recurrence(p: int, k: int, d: int) -> int:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import census, oracle
-from .arith import DomainError, Modulus, factorize
+from .arith import DomainError, Modulus
 from .poly import PolyParseError, parse
 from .septest import discriminant, is_separable, trace_form
 
@@ -76,35 +77,25 @@ def _cmd_check(args) -> int:
 def _cmd_disc(args) -> int:
     m = Modulus(args.n)
     f = parse(args.poly, m)
-    d = discriminant(f)
     _emit("disc", {"n": m.n, "polynomial": str(f)},
-          {"type": "residue", "value": d.value, "modulus": m.n}, "formula")
+          {"type": "residue", "value": discriminant(f), "modulus": m.n},
+          "formula")
     return 0
 
 
 def _cmd_trace_form(args) -> int:
     m = Modulus(args.n)
     f = parse(args.poly, m)
-    form = trace_form(f)
     _emit("trace-form", {"n": m.n, "polynomial": str(f)},
           {"type": "matrix", "modulus": m.n,
-           "entries": [list(row) for row in form.entries]}, "formula")
+           "entries": [list(row) for row in trace_form(f)]}, "formula")
     return 0
-
-
-def _census_count(m: Modulus, d: int, mode: oracle.Mode) -> census.CountResult:
-    if mode is oracle.Mode.MONIC:
-        return census.CountResult.of(census.count_monic_separable(m, d), m.n**d)
-    if mode is oracle.Mode.LEQ:
-        return census.count_separable_leq(m, d)
-    return census.CountResult.of(census.count_separable_exact(m, d),
-                                 (m.n - 1) * m.n**d)
 
 
 def _cmd_count(args) -> int:
     m = Modulus(args.n)
-    mode = oracle.Mode(args.mode)
-    r = _census_count(m, args.d, mode)
+    mode = census.Mode(args.mode)
+    r = census.count(m, args.d, mode)
     result = {"type": "count", "value": r.count, "total": r.total,
               "proportion": f"{r.proportion.numerator}/{r.proportion.denominator}"}
     if args.decimal is not None:
@@ -125,7 +116,7 @@ def _cmd_proportion(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     m = Modulus(args.n)
-    mode = oracle.Mode(args.mode)
+    mode = census.Mode(args.mode)
     if args.crt:
         count = oracle.crt_product_count(m, args.d, mode, budget=args.budget,
                                          workers=args.workers)
@@ -156,12 +147,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    mode = oracle.Mode(args.mode)
+    mode = census.Mode(args.mode)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         m = Modulus(n)
         for d in range(args.d_min, args.d_max + 1):
-            r = _census_count(m, d, mode)
+            r = census.count(m, d, mode)
             rows.append((n, d, mode.value, r.count,
                          f"{r.proportion.numerator}/{r.proportion.denominator}"))
     if args.format == "csv":
@@ -176,7 +167,9 @@ def _cmd_table(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every run."""
     parser = _Parser(prog="sepzn",
                      description="Separable polynomials over Z/n: decision "
                                  "procedures, counting formulas, and a "
@@ -201,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polynomial, e.g. '3x^2+x+5' or '5,1,3'")
 
     p = add("count", _cmd_count, help="closed-form separable count")
-    p.add_argument("--mode", choices=[m.value for m in oracle.Mode],
+    p.add_argument("--mode", choices=[m.value for m in census.Mode],
                    default="leq")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
@@ -214,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
 
     p = add("enumerate", _cmd_enumerate, help="brute-force separable count")
-    p.add_argument("--mode", choices=[m.value for m in oracle.Mode],
+    p.add_argument("--mode", choices=[m.value for m in census.Mode],
                    default="leq")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
@@ -235,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--d-min", type=int, required=True)
     p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in oracle.Mode],
+    p.add_argument("--mode", choices=[m.value for m in census.Mode],
                    default="leq")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 

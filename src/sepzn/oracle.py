@@ -4,7 +4,8 @@ The ground truth the census formulas are verified against.  A polynomial
 over Z/n is separable exactly when its reduction mod every prime p | n is
 separable over the field Z/p; the oracle runs that test (the mod-p gcd
 kernel of septest.is_separable) on every coefficient tuple of the queried
-set, memoized on the reduced tuples, and uses no counting formula.
+set, memoized on the reduced tuples, and uses no counting formula: of
+census.count it reads only the size of the set.
 
 The space is walked by a mixed-radix odometer whose digit i is coefficient
 i, coefficient 0 fastest, so index t names the same tuple in every walk and
@@ -29,26 +30,19 @@ partition order cannot affect results.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 from . import census
 from .arith import DomainError, Modulus
+from .census import Mode
 # Not called here; perfbench/spans.py wraps oracle.PolyZn to count calls.
 from .poly import PolyZn  # noqa: F401
 from .septest import _separable_coeffs_mod_p
 
 DEFAULT_BUDGET = 10**8
-
-
-class Mode(str, Enum):
-    """Which set of coefficient tuples to enumerate."""
-
-    MONIC = "monic"  # monic of degree exactly d
-    LEQ = "leq"      # every tuple of length d + 1 (degree <= d)
-    EXACT = "exact"  # leading coefficient nonzero (degree exactly d)
 
 
 @dataclass(frozen=True)
@@ -71,16 +65,6 @@ class BudgetExceeded(Exception):
             f"enumeration needs {required} tests, budget is {budget}")
         self.required = required
         self.budget = budget
-
-
-def space_size(q: EnumerationQuery) -> int:
-    """Number of coefficient tuples the query enumerates."""
-    n, d = q.modulus.n, q.degree_bound
-    if q.mode is Mode.MONIC:
-        return n**d
-    if q.mode is Mode.LEQ:
-        return n ** (d + 1)
-    return (n - 1) * n**d
 
 
 _UNKNOWN = 2  # a verdict-table entry not yet computed; verdicts are 0 or 1
@@ -167,15 +151,19 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
 
 def enumerate_count(q: EnumerationQuery, budget: int = DEFAULT_BUDGET,
                     workers: int = 1) -> int:
-    """Exact count of separable polynomials in the query's set."""
-    size = space_size(q)
+    """Exact count of separable polynomials in the query's set.
+
+    With workers > 1 the set is split into that many index ranges, run on
+    at most one process per CPU."""
+    n, d = q.modulus.n, q.degree_bound
+    size = census.count(q.modulus, d, q.mode).total  # the size, not the count
     if size > budget:
         raise BudgetExceeded(size, budget)
-    n, d = q.modulus.n, q.degree_bound
     if workers <= 1:
         return count_range(n, d, q.mode, 0, size)
     bounds = [size * i // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+            max_workers=min(workers, os.cpu_count() or 1)) as pool:
         parts = pool.map(count_range, [n] * workers, [d] * workers,
                          [q.mode] * workers, bounds[:-1], bounds[1:])
         return sum(parts)
@@ -218,14 +206,6 @@ class VerificationReport:
     skipped: bool = False
 
 
-def _formula_count(m: Modulus, d: int, mode: Mode) -> int:
-    if mode is Mode.MONIC:
-        return census.count_monic_separable(m, d)
-    if mode is Mode.LEQ:
-        return census.count_separable_leq(m, d).count
-    return census.count_separable_exact(m, d)
-
-
 def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
            workers: int = 1) -> list[VerificationReport]:
     """Compare every census formula with the oracle for all d <= d_max and
@@ -236,7 +216,7 @@ def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
     for d in range(d_max + 1):
         for mode in Mode:
             q = EnumerationQuery(m, d, mode)
-            formula = _formula_count(m, d, mode)
+            formula = census.count(m, d, mode).count
             start = time.perf_counter()
             try:
                 oracle = enumerate_count(q, budget=budget, workers=workers)

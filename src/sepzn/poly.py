@@ -42,14 +42,6 @@ class PolyZn:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise DomainError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def _check_same_modulus(self, other: "PolyZn"):
         if not isinstance(other, PolyZn):
             raise TypeError(f"expected PolyZn, got {type(other).__name__}")
@@ -201,57 +193,3 @@ def _parse_terms(text: str, modulus: Modulus) -> PolyZn:
     for e, c in coeffs.items():
         out[e] = c
     return PolyZn(modulus, out)
-
-
-def derivative(f: PolyZn) -> PolyZn:
-    """Formal derivative: coefficient i of f contributes i*a_i to x^(i-1)."""
-    return PolyZn(f.modulus, [i * c for i, c in enumerate(f.coeffs)][1:])
-
-
-def reduce_modulus(f: PolyZn, m: int) -> PolyZn:
-    """Coefficientwise reduction of f into Z/m[x], for m dividing n."""
-    if m < 2 or f.modulus.n % m != 0:
-        raise DomainError(f"{m} does not divide the modulus {f.modulus.n}")
-    return PolyZn(Modulus(m), f.coeffs)
-
-
-def _require_prime(modulus: Modulus):
-    if len(modulus.factors) != 1 or modulus.factors[0][1] != 1:
-        raise DomainError(f"modulus {modulus.n} is not prime")
-
-
-def make_monic_over_prime_field(f: PolyZn) -> PolyZn:
-    """The monic associate u^(-1)*f over Z/p, u the leading coefficient."""
-    _require_prime(f.modulus)
-    if f.is_zero():
-        raise DomainError("cannot make the zero polynomial monic")
-    inv = pow(f.leading(), -1, f.modulus.n)
-    return f * inv
-
-
-def gcd_over_prime_field(f: PolyZn, g: PolyZn) -> PolyZn:
-    """Monic gcd over Z/p by the Euclidean algorithm; gcd(0, 0) = 0."""
-    _require_prime(f.modulus)
-    f._check_same_modulus(g)
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, rem_by_monic(a, make_monic_over_prime_field(b))
-    if a.is_zero():
-        return a
-    return make_monic_over_prime_field(a)
-
-
-def rem_by_monic(f: PolyZn, g: PolyZn) -> PolyZn:
-    """Remainder of f modulo a monic g; well defined over any Z/n."""
-    f._check_same_modulus(g)
-    if not g.is_monic():
-        raise DomainError("divisor must be monic")
-    n = f.modulus.n
-    dg = len(g.coeffs) - 1
-    r = list(f.coeffs)
-    for top in range(len(r) - 1, dg - 1, -1):
-        c = r[top]
-        if c:
-            for j in range(dg + 1):
-                r[top - dg + j] = (r[top - dg + j] - c * g.coeffs[j]) % n
-    return PolyZn(f.modulus, r[:dg])

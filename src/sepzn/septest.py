@@ -12,21 +12,10 @@ Two routes are provided and cross-checked against each other:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import DomainError, Modulus, Residue
-from .poly import PolyZn, rem_by_monic
-
 import math
 
-
-@dataclass(frozen=True)
-class TraceForm:
-    """The N x N symmetric matrix with entry (i, j) = tr(x^(i+j)) mod n."""
-
-    modulus: Modulus
-    dim: int
-    entries: tuple[tuple[int, ...], ...]
+from .arith import DomainError
+from .poly import PolyZn
 
 
 def _require_monic(f: PolyZn):
@@ -34,35 +23,30 @@ def _require_monic(f: PolyZn):
         raise DomainError("a monic polynomial of degree >= 1 is required")
 
 
-def trace(g: PolyZn, f: PolyZn) -> Residue:
-    """Trace of the multiplication-by-g operator on Z/n[x]/f, f monic.
+def trace_form(f: PolyZn) -> tuple[tuple[int, ...], ...]:
+    """The trace form of a monic f = x^N + c_1 x^(N-1) + ... + c_N: the
+    symmetric N x N matrix whose entry (i, j) is tr(x^(i+j)) on Z/n[x]/f,
+    reduced into [0, n).
 
-    Computed on the free basis 1, x, ..., x^(N-1); this equals the
-    dual-basis trace because the basis is free.
+    tr(x^k) is the power sum s_k of the roots of f, given by Newton's
+    identities:
+
+        s_0 = N
+        s_k = -(k c_k + sum_(0<i<k) c_i s_(k-i))    for 0 < k <= N
+        s_k = -sum_(0<i<=N) c_i s_(k-i)             for k > N
+
+    They use only integer products and sums, so they hold over every Z/n.
     """
     _require_monic(f)
-    big_n = f.degree
-    cur = rem_by_monic(g, f)
-    x = PolyZn(f.modulus, (0, 1))
-    total = 0
-    for j in range(big_n):
-        total += cur.coeff(j)
-        if j < big_n - 1:
-            cur = rem_by_monic(cur * x, f)
-    return Residue(total, f.modulus)
-
-
-def trace_form(f: PolyZn) -> TraceForm:
-    """The trace form of a monic f: entry (i, j) is tr(x^(i+j) rem f)."""
-    _require_monic(f)
-    big_n = f.degree
-    x = PolyZn(f.modulus, (0, 1))
-    powers = [PolyZn(f.modulus, (1,))]
-    for _ in range(2 * big_n - 2):
-        powers.append(rem_by_monic(powers[-1] * x, f))
-    tr = [trace(p, f).value for p in powers]
-    entries = tuple(tuple(tr[i + j] for j in range(big_n)) for i in range(big_n))
-    return TraceForm(f.modulus, big_n, entries)
+    n, big_n = f.modulus.n, f.degree
+    c = f.coeffs[::-1]  # c[i] is the coefficient of x^(N-i)
+    s = [big_n % n]
+    for k in range(1, 2 * big_n - 1):
+        total = sum(c[i] * s[k - i] for i in range(1, min(k, big_n + 1)))
+        if k <= big_n:
+            total += k * c[k]
+        s.append(-total % n)
+    return tuple(tuple(s[i:i + big_n]) for i in range(big_n))
 
 
 def _int_det(matrix: tuple[tuple[int, ...], ...]) -> int:
@@ -87,21 +71,19 @@ def _int_det(matrix: tuple[tuple[int, ...], ...]) -> int:
     return sign * a[-1][-1]
 
 
-def discriminant(f: PolyZn) -> Residue:
-    """disc(f) = det(trace form of f) as an element of Z/n.
+def discriminant(f: PolyZn) -> int:
+    """disc(f) = det(trace form of f) as an element of Z/n, in [0, n).
 
     The entries are lifted to their integer representatives in [0, n) and
     the exact integer determinant is reduced mod n; the determinant is a
     polynomial in the entries, so the result is independent of the lifts.
     """
-    form = trace_form(f)
-    return Residue(_int_det(form.entries), f.modulus)
+    return _int_det(trace_form(f)) % f.modulus.n
 
 
 def is_separable_monic(f: PolyZn) -> bool:
     """Separability of a monic f via the discriminant: true iff disc(f) is a unit."""
-    d = discriminant(f)
-    return math.gcd(d.value, f.modulus.n) == 1
+    return math.gcd(discriminant(f), f.modulus.n) == 1
 
 
 def _separable_coeffs_mod_p(coeffs, p: int) -> bool:
@@ -122,6 +104,9 @@ def _separable_coeffs_mod_p(coeffs, p: int) -> bool:
 
 
 def _rem_lists(a, b, p):
+    """Remainder of a modulo b over Z/p as a trimmed coefficient list; the
+    entries of a lie in [0, p) and b is trimmed, with a unit leading
+    coefficient."""
     inv = pow(b[-1], -1, p)
     db = len(b) - 1
     r = list(a)
@@ -138,17 +123,11 @@ def _rem_lists(a, b, p):
 
 
 def _gcd_lists(a, b, p):
+    """A gcd of a and b over the field Z/p: an associate of the monic gcd,
+    and [] for gcd(0, 0)."""
     while b:
         a, b = b, _rem_lists(a, b, p)
     return a
-
-
-def is_separable_over_prime_field(f: PolyZn) -> bool:
-    """Separability over the field Z/p: false for 0, true for nonzero
-    constants, else gcd(f, f') must be the constant 1."""
-    if len(f.modulus.factors) != 1 or f.modulus.factors[0][1] != 1:
-        raise DomainError(f"modulus {f.modulus.n} is not prime")
-    return _separable_coeffs_mod_p(f.coeffs, f.modulus.n)
 
 
 def is_separable(f: PolyZn) -> bool:

@@ -1,19 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sepzn.arith import (
     DomainError,
     Modulus,
-    Residue,
-    crt_combine,
-    crt_split,
     factorize,
-    is_unit,
     totient,
-    totient_of_power,
     totient_prime_power,
 )
 
@@ -61,9 +56,6 @@ class TestModulus:
         with pytest.raises(DomainError):
             Modulus(1)
 
-    def test_residue_reduced(self):
-        assert Modulus(6).residue(19).value == 1
-
 
 class TestTotient:
     def test_prime_power(self):
@@ -83,73 +75,22 @@ class TestTotient:
 
 
 class TestTotientOfPower:
+    """phi(n^e), which the monic census equals for degree e >= 2."""
+
     def test_prime_power(self):
-        assert totient_of_power(Modulus(4), 2) == 8
+        assert totient(Modulus(4**2)) == 8
 
     def test_fifteen_squared(self):
-        assert totient_of_power(Modulus(15), 2) == 120
-        assert totient_of_power(Modulus(15), 2) == brute_totient(225)
+        assert totient(Modulus(15**2)) == 120
+        assert totient(Modulus(15**2)) == brute_totient(225)
 
     def test_prime_to_degree(self):
         for p in (2, 3, 5, 7):
             for d in range(1, 6):
-                assert totient_of_power(Modulus(p), d) == p**d - p ** (d - 1)
+                assert totient(Modulus(p**d)) == p**d - p ** (d - 1)
 
     def test_matches_factoring_the_power(self):
+        # phi(n^e) = n^(e-1) phi(n): n^e has the primes of n
         for n in range(2, 101):
             for e in range(1, 5):
-                assert totient_of_power(Modulus(n), e) == totient(Modulus(n**e))
-
-    def test_rejects_zero_exponent(self):
-        with pytest.raises(DomainError):
-            totient_of_power(Modulus(6), 0)
-
-
-class TestIsUnit:
-    def test_examples(self):
-        assert not is_unit(Residue(3, Modulus(6)))
-        assert is_unit(Residue(5, Modulus(6)))
-        assert not is_unit(Residue(0, Modulus(2)))
-
-    def test_unit_iff_invertible(self):
-        for n in range(2, 201):
-            m = Modulus(n)
-            for a in range(n):
-                has_inverse = any(a * b % n == 1 for b in range(n))
-                assert is_unit(Residue(a, m)) == has_inverse
-
-
-class TestCrt:
-    def test_split_examples(self):
-        parts = crt_split(Residue(7, Modulus(12)))
-        assert [(r.value, r.modulus.n) for r in parts] == [(3, 4), (1, 3)]
-        parts = crt_split(Residue(11, Modulus(15)))
-        assert [(r.value, r.modulus.n) for r in parts] == [(2, 3), (1, 5)]
-
-    def test_split_zero(self):
-        assert all(r.value == 0 for r in crt_split(Residue(0, Modulus(360))))
-
-    def test_combine_example(self):
-        r = crt_combine([Residue(3, Modulus(4)), Residue(1, Modulus(3))])
-        assert (r.value, r.modulus.n) == (7, 12)
-
-    def test_combine_singleton(self):
-        r = crt_combine([Residue(5, Modulus(9))])
-        assert (r.value, r.modulus.n) == (5, 9)
-
-    def test_combine_rejects_non_coprime(self):
-        with pytest.raises(DomainError):
-            crt_combine([Residue(1, Modulus(4)), Residue(1, Modulus(6))])
-
-    def test_round_trip_mod_360(self):
-        m = Modulus(360)
-        for a in range(360):
-            r = crt_combine(crt_split(Residue(a, m)))
-            assert (r.value, r.modulus.n) == (a, 360)
-
-    @settings(max_examples=200)
-    @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=0))
-    def test_round_trip_random_moduli(self, n, a):
-        m = Modulus(n)
-        r = crt_combine(crt_split(Residue(a, m)))
-        assert (r.value, r.modulus.n) == (a % n, n)
+                assert totient(Modulus(n**e)) == n ** (e - 1) * totient(Modulus(n))

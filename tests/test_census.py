@@ -4,9 +4,10 @@ import pytest
 
 from sepzn.arith import DomainError, Modulus, totient_prime_power
 from sepzn.census import (
+    Mode,
+    count,
     count_leq_recurrence,
     count_monic_separable,
-    count_monic_separable_prime,
     count_monic_separable_primepower,
     count_separable_exact,
     count_separable_leq,
@@ -19,19 +20,21 @@ FIRST_FIFTEEN_PRIMES_PRODUCT = 614889782588491410
 
 
 class TestCarlitz:
+    """Monic counts over a prime field Z/p: the prime-power count at k = 1."""
+
     def test_opening_question(self):
-        assert count_monic_separable_prime(11, 3) == 1210
+        assert count_monic_separable_primepower(11, 1, 3) == 1210
         assert Fraction(1210, 11**3) == Fraction(10, 11)
 
     def test_mod2_quadratics(self):
         # of the 4 monic quadratics over Z/2, only x^2+x and x^2+x+1 separate
-        assert count_monic_separable_prime(2, 2) == 2
+        assert count_monic_separable_primepower(2, 1, 2) == 2
 
     def test_all_linear_monics(self):
-        assert count_monic_separable_prime(5, 1) == 5
+        assert count_monic_separable_primepower(5, 1, 1) == 5
 
     def test_degree_zero(self):
-        assert count_monic_separable_prime(7, 0) == 1
+        assert count_monic_separable_primepower(7, 1, 0) == 1
 
 
 class TestMonicPrimePower:
@@ -40,10 +43,11 @@ class TestMonicPrimePower:
         assert count_monic_separable_primepower(3, 2, 2) == 54   # phi(81)
 
     def test_reduces_to_carlitz_at_k1(self):
+        # Carlitz: p^d - p^(d-1) for d >= 2, p for d = 1, 1 for d = 0
         for p in (2, 3, 5, 7):
+            carlitz = [1, p] + [p**d - p ** (d - 1) for d in range(2, 5)]
             for d in range(5):
-                assert count_monic_separable_primepower(p, 1, d) == \
-                    count_monic_separable_prime(p, d)
+                assert count_monic_separable_primepower(p, 1, d) == carlitz[d]
 
     def test_is_totient_of_power(self):
         for p, k, d in [(2, 2, 3), (3, 3, 2), (5, 2, 4)]:
@@ -112,14 +116,14 @@ class TestLeqPrimePower:
 
 class TestLeqComposite:
     def test_z120_paper_value(self):
-        assert count_separable_leq(Modulus(120), 3).count == 65028096
+        assert count_separable_leq(Modulus(120), 3) == 65028096
 
     def test_prime_power_matches(self):
-        assert count_separable_leq(Modulus(8), 4).count == \
+        assert count_separable_leq(Modulus(8), 4) == \
             count_separable_leq_primepower(2, 3, 4)
 
     def test_z6_degree_one(self):
-        r = count_separable_leq(Modulus(6), 1)
+        r = count(Modulus(6), 1, Mode.LEQ)
         assert r.count == 24
         assert r.total == 36
         assert r.proportion == Fraction(2, 3)
@@ -127,7 +131,7 @@ class TestLeqComposite:
     def test_never_saturates(self):
         for n in (2, 6, 15, 120):
             for d in range(4):
-                assert count_separable_leq(Modulus(n), d).count < n ** (d + 1)
+                assert count_separable_leq(Modulus(n), d) < n ** (d + 1)
 
 
 class TestExactDegree:
@@ -147,7 +151,22 @@ class TestExactDegree:
             m = Modulus(n)
             for d in range(6):
                 assert sum(count_separable_exact(m, e) for e in range(d + 1)) \
-                    == count_separable_leq(m, d).count
+                    == count_separable_leq(m, d)
+
+
+class TestCount:
+    @pytest.mark.parametrize("mode, formula, total", [
+        (Mode.MONIC, count_monic_separable, lambda n, d: n**d),
+        (Mode.LEQ, count_separable_leq, lambda n, d: n ** (d + 1)),
+        (Mode.EXACT, count_separable_exact, lambda n, d: (n - 1) * n**d),
+    ])
+    def test_dispatches_by_mode(self, mode, formula, total):
+        for n in (2, 6, 12, 120):
+            m = Modulus(n)
+            for d in range(5):
+                r = count(m, d, mode.value)
+                assert (r.count, r.total) == (formula(m, d), total(n, d))
+                assert r.proportion == Fraction(r.count, r.total)
 
 
 class TestRecurrence:
@@ -221,19 +240,19 @@ class TestErrata:
         for p, _ in m.factors:
             plus *= 1 + Fraction(1, p**d)
             minus *= 1 - Fraction(1, p**d)
-        assert plus == 65028096 == count_separable_leq(m, d).count
+        assert plus == 65028096 == count_separable_leq(m, d)
         assert minus != 65028096
 
 
 class TestNegativeDegree:
-    @pytest.mark.parametrize("count", [
-        lambda: count_monic_separable_prime(5, -1),
+    @pytest.mark.parametrize("call", [
+        lambda: count(Modulus(5), -1, Mode.MONIC),
         lambda: count_monic_separable_primepower(2, 3, -1),
         lambda: count_separable_leq_primepower(3, 2, -1),
         lambda: count_monic_separable(Modulus(6), -1),
         lambda: count_separable_leq(Modulus(6), -1),
         lambda: count_separable_exact(Modulus(6), -1),
     ])
-    def test_rejected(self, count):
+    def test_rejected(self, call):
         with pytest.raises(DomainError):
-            count()
+            call()

@@ -163,6 +163,19 @@ def test_usage_errors_exit_1(capsys):
     assert cli.run(["check", "-n", "6", "-f", "x^^2"]) == 1  # parse error
 
 
+def test_usage_error_leaves_parser_reusable(capsys):
+    # The parser is built once per process; a failed parse must not change
+    # how the next command is read.
+    argv = ["count", "--mode", "exact", "-n", "15", "-d", "2"]
+    assert cli.run(argv) == 0
+    first = capsys.readouterr()
+    assert cli.run(["count", "-n", "6", "--mode", "bogus"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert cli.run(argv) == 0
+    again = capsys.readouterr()
+    assert again.out == first.out and again.err == first.err == ""
+
+
 def test_domain_errors_exit_2(capsys):
     assert cli.run(["factor", "-n", "1"]) == 2
     assert cli.run(["proportion", "-n", "6", "-d", "1"]) == 2

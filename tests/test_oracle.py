@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepzn import census
+from sepzn import census, oracle
 from sepzn.arith import DomainError, Modulus
 from sepzn.oracle import (
     BudgetExceeded,
@@ -13,11 +13,14 @@ from sepzn.oracle import (
     count_range,
     crt_product_count,
     enumerate_count,
-    space_size,
     verify,
 )
 from sepzn.poly import PolyZn
 from sepzn.septest import is_separable
+
+
+def space_size(q):
+    return census.count(q.modulus, q.degree_bound, q.mode).total
 
 
 class TestEnumerateCount:
@@ -68,6 +71,37 @@ class TestDeterminismAndPartition:
                      for lo, hi in zip(bounds, bounds[1:])]
             assert sum(parts) == whole
 
+    def test_processes_capped_at_cpu_count(self, monkeypatch):
+        # The pool forks max_workers processes at its first submit, so a
+        # large --workers must not reach it; the ranges still number
+        # `workers`.  The fake pool maps serially and starts no process.
+        calls = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                calls.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                ranges = list(zip(*iterables))
+                calls.append(len(ranges))
+                return [fn(*args) for args in ranges]
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        q = EnumerationQuery(Modulus(6), 2, Mode.LEQ)
+        assert enumerate_count(q, workers=100000) == enumerate_count(q)
+        assert enumerate_count(q, workers=8) == enumerate_count(q)
+        assert calls == [2, 100000, 2, 8]
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        enumerate_count(q, workers=3)
+        assert calls[-2:] == [1, 3]
+
 
 class TestCrtProductCount:
     @pytest.mark.parametrize("n", [6, 12, 15])
@@ -109,7 +143,7 @@ class TestVerify:
         leq = {r.query.degree_bound: r for r in reports
                if r.query.mode is Mode.LEQ}
         assert leq[1].oracle_count == 72
-        assert leq[1].formula_count == census.count_separable_leq(Modulus(9), 1).count
+        assert leq[1].formula_count == census.count_separable_leq(Modulus(9), 1)
         assert leq[1].match
 
     def test_budget_exceeded_marks_skipped(self):

@@ -5,17 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepzn.arith import DomainError, Modulus
-from sepzn.poly import (
-    PolyParseError,
-    PolyZn,
-    derivative,
-    format_poly,
-    gcd_over_prime_field,
-    make_monic_over_prime_field,
-    parse,
-    reduce_modulus,
-    rem_by_monic,
-)
+from sepzn.poly import PolyParseError, PolyZn, format_poly, parse
+from sepzn.septest import _gcd_lists, _rem_lists
 
 
 def all_polys(n, max_deg):
@@ -59,7 +50,7 @@ class TestCanonicalForm:
                         assert h.is_zero()
                         continue
                     assert h.degree is None or h.degree <= f.degree + g.degree
-                    if f.leading() * g.leading() % n != 0:
+                    if f.coeffs[-1] * g.coeffs[-1] % n != 0:
                         assert h.degree == f.degree + g.degree
 
 
@@ -130,33 +121,23 @@ class TestArithmetic:
             parse("x", Modulus(4)) + parse("x", Modulus(6))
 
 
-class TestDerivative:
-    def test_characteristic_kills_term(self):
-        assert derivative(parse("x^2+1", Modulus(2))).is_zero()
-
-    def test_unit_derivative(self):
-        assert derivative(parse("x^2+x+1", Modulus(2))).coeffs == (1,)
-
-    def test_mod6_example(self):
-        assert derivative(parse("3x^2+x+5", Modulus(6))).coeffs == (1,)
+def reduce_to(f, m):
+    """f's image in Z/m[x] for m | n: the constructor reduces mod m."""
+    return PolyZn(Modulus(m), f.coeffs)
 
 
 class TestReduceModulus:
     def test_mod4_to_mod2(self):
-        g = reduce_modulus(parse("x^2+1", Modulus(4)), 2)
+        g = reduce_to(parse("x^2+1", Modulus(4)), 2)
         assert g.modulus.n == 2 and g.coeffs == (1, 0, 1)
 
     def test_mod6_to_mod3(self):
-        g = reduce_modulus(parse("3x^2+x+5", Modulus(6)), 3)
+        g = reduce_to(parse("3x^2+x+5", Modulus(6)), 3)
         assert g == parse("x+2", Modulus(3))
 
     def test_degree_drops(self):
-        g = reduce_modulus(parse("2x+1", Modulus(4)), 2)
+        g = reduce_to(parse("2x+1", Modulus(4)), 2)
         assert g.coeffs == (1,)
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(DomainError):
-            reduce_modulus(parse("x", Modulus(6)), 4)
 
     @given(st.sampled_from([(6, 3), (6, 2), (12, 4), (12, 3), (20, 5)]),
            st.lists(st.integers(min_value=0, max_value=19), max_size=5),
@@ -164,112 +145,99 @@ class TestReduceModulus:
     def test_ring_homomorphism(self, moduli, a, b):
         n, m = moduli
         f, g = PolyZn(Modulus(n), a), PolyZn(Modulus(n), b)
-        assert reduce_modulus(f + g, m) == reduce_modulus(f, m) + reduce_modulus(g, m)
-        assert reduce_modulus(f * g, m) == reduce_modulus(f, m) * reduce_modulus(g, m)
+        assert reduce_to(f + g, m) == reduce_to(f, m) + reduce_to(g, m)
+        assert reduce_to(f * g, m) == reduce_to(f, m) * reduce_to(g, m)
 
 
-class TestMakeMonic:
-    def test_inverts_leading(self):
-        assert make_monic_over_prime_field(parse("2x+1", Modulus(5))) \
-            == parse("x+3", Modulus(5))
+def long_rem(a, b, p):
+    """a mod b over Z/p by schoolbook long division, one leading term at a
+    time; b is trimmed and nonzero."""
+    r = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b):
+            return r
+        q, shift = r[-1] * inv % p, len(r) - len(b)
+        for j, c in enumerate(b):
+            r[shift + j] = (r[shift + j] - q * c) % p
 
-    def test_monic_unchanged(self):
-        f = parse("x^3+2x+4", Modulus(5))
-        assert make_monic_over_prime_field(f) == f
 
-    def test_constant_becomes_one(self):
-        assert make_monic_over_prime_field(parse("4", Modulus(7))).coeffs == (1,)
-
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            make_monic_over_prime_field(PolyZn(Modulus(5), ()))
-
-    def test_rejects_composite_modulus(self):
-        with pytest.raises(DomainError):
-            make_monic_over_prime_field(parse("x", Modulus(6)))
+def monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 class TestGcd:
+    """The list-level Euclid behind septest's separability test."""
+
     def test_gcd_with_zero(self):
-        m = Modulus(2)
-        f = parse("x^2+1", m)
-        assert gcd_over_prime_field(f, PolyZn(m, ())) == f
+        assert _gcd_lists([1, 0, 1], [], 2) == [1, 0, 1]
 
     def test_gcd_with_unit(self):
-        m = Modulus(2)
-        assert gcd_over_prime_field(parse("x^2+x+1", m), parse("1", m)).coeffs == (1,)
+        assert _gcd_lists([1, 1, 1], [1], 2) == [1]
 
     def test_gcd_zero_zero(self):
-        m = Modulus(3)
-        assert gcd_over_prime_field(PolyZn(m, ()), PolyZn(m, ())).is_zero()
+        assert _gcd_lists([], [], 3) == []
 
     def test_coprime_pair_mod3(self):
         # x^2+1 is irreducible over Z/3 and has no root at 0, so it shares
         # no factor with 2x; cross-checked against sympy's gcd over GF(3)
-        m = Modulus(3)
-        g = gcd_over_prime_field(parse("x^2+1", m), parse("2x", m))
-        assert g.coeffs == (1,)
+        assert len(_gcd_lists([1, 0, 1], [0, 2], 3)) == 1
 
     def test_common_factor_detected(self):
         m = Modulus(3)
         f = parse("x+1", m) * parse("x+2", m)
         g = parse("x+1", m) * parse("x", m)
-        assert gcd_over_prime_field(f, g) == parse("x+1", m)
-
-    def test_rejects_composite_modulus(self):
-        with pytest.raises(DomainError):
-            gcd_over_prime_field(parse("x", Modulus(4)), parse("x", Modulus(4)))
+        h = _gcd_lists(list(f.coeffs), list(g.coeffs), 3)
+        assert monic(h, 3) == [1, 1]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_gcd_is_greatest_common_divisor(self, p):
-        m = Modulus(p)
-
         def divides(a, b):
             # a | b over Z/p (a nonzero)
-            return rem_by_monic(b, make_monic_over_prime_field(a)).is_zero()
+            return not long_rem(b, a, p)
 
-        polys = list(all_polys(p, 3))
-        nonzero = [f for f in polys if not f.is_zero()]
+        polys = [list(f.coeffs) for f in all_polys(p, 3)]
+        nonzero = [f for f in polys if f]
         for f in polys:
             for g in polys:
-                h = gcd_over_prime_field(f, g)
-                if f.is_zero() and g.is_zero():
-                    assert h.is_zero()
+                h = _gcd_lists(f, g, p)
+                if not f and not g:
+                    assert h == []
                     continue
-                assert h.is_monic()
+                assert h and h[-1] != 0
                 assert divides(h, f) and divides(h, g)
                 for c in nonzero:
-                    if c.degree <= h.degree and divides(c, f) and divides(c, g):
+                    if len(c) <= len(h) and divides(c, f) and divides(c, g):
                         assert divides(c, h)
 
 
 class TestRemByMonic:
+    """The remainder step of the list-level Euclid."""
+
     def test_one_division_step(self):
-        m = Modulus(7)
-        # x^2 rem (x^2 + 3x + 2) = -3x - 2 = 4x + 5
-        r = rem_by_monic(parse("x^2", m), parse("x^2+3x+2", m))
-        assert r == parse("4x+5", m)
+        # x^2 rem (x^2 + 3x + 2) = -3x - 2 = 4x + 5 over Z/7
+        assert _rem_lists([0, 0, 1], [2, 3, 1], 7) == [5, 4]
 
     def test_low_degree_unchanged(self):
-        m = Modulus(6)
-        f = parse("2x+1", m)
-        assert rem_by_monic(f, parse("x^2+1", m)) == f
+        assert _rem_lists([1, 2], [1, 0, 1], 6) == [1, 2]
 
     def test_repeated_squaring_reduction(self):
-        m = Modulus(4)
-        assert rem_by_monic(parse("x^4", m), parse("x^2+1", m)).coeffs == (1,)
+        assert _rem_lists([0, 0, 0, 0, 1], [1, 0, 1], 4) == [1]
 
     def test_rejects_non_monic(self):
-        m = Modulus(6)
-        with pytest.raises(DomainError):
-            rem_by_monic(parse("x^2", m), parse("2x", m))
+        # 2 is not a unit mod 6, so there is no division step by 2x
+        with pytest.raises(ValueError):
+            _rem_lists([0, 0, 1], [0, 2], 6)
 
     def test_congruent_to_input(self):
-        m = Modulus(12)
-        g = parse("x^3+5x+7", m)
-        for coeffs in [(1, 2, 3, 4, 5), (11, 0, 0, 0, 1), (0,)]:
-            f = PolyZn(m, coeffs)
-            r = rem_by_monic(f, g)
-            assert r.degree is None or r.degree < g.degree
+        g = [7, 5, 0, 1]  # x^3 + 5x + 7 over Z/12
+        for f in [[1, 2, 3, 4, 5], [11, 0, 0, 0, 1], [0]]:
+            r = _rem_lists(f, g, 12)
+            assert len(r) < len(g)
             # f - r must be a multiple of g: divide exactly
-            assert rem_by_monic(f - r, g).is_zero()
+            diff = [(a - (r[i] if i < len(r) else 0)) % 12
+                    for i, a in enumerate(f)]
+            assert _rem_lists(diff, g, 12) == []

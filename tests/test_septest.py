@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepzn.arith import DomainError, Modulus
 from sepzn.poly import PolyZn, parse
@@ -10,8 +12,6 @@ from sepzn.septest import (
     discriminant,
     is_separable,
     is_separable_monic,
-    is_separable_over_prime_field,
-    trace,
     trace_form,
 )
 
@@ -23,12 +23,12 @@ def monic_polys(n, deg):
 
 
 class TestTrace:
+    """tr(x^k) on Z/n[x]/f is entry (i, j) of the trace form for i + j = k."""
+
     def test_identity_has_trace_n(self):
         for n, deg in [(6, 2), (5, 3), (4, 4)]:
-            m = Modulus(n)
-            f = PolyZn(m, (1,) * deg + (1,))
-            one = PolyZn(m, (1,))
-            assert trace(one, f).value == deg % n
+            f = PolyZn(Modulus(n), (1,) * deg + (1,))
+            assert trace_form(f)[0][0] == deg % n
 
     def test_quadratic_trace_of_x(self):
         # tr(x) on Z/n[x]/(x^2+ax+b) is -a
@@ -37,24 +37,58 @@ class TestTrace:
             for a in range(n):
                 for b in range(n):
                     f = PolyZn(m, (b, a, 1))
-                    assert trace(PolyZn(m, (0, 1)), f).value == -a % n
+                    assert trace_form(f)[0][1] == -a % n
 
     def test_cubic_trace_of_x_squared(self):
         # tr(x^2) on Z/n[x]/(x^3+ax^2+bx+c) is a^2 - 2b
         m = Modulus(7)
         for a, b, c in itertools.product(range(7), repeat=3):
             f = PolyZn(m, (c, b, a, 1))
-            assert trace(PolyZn(m, (0, 0, 1)), f).value == (a * a - 2 * b) % 7
+            assert trace_form(f)[0][2] == (a * a - 2 * b) % 7
 
     def test_reduces_high_degree_argument(self):
-        m = Modulus(5)
-        f = parse("x^2+1", m)
-        assert trace(parse("x^4", m), f).value == trace(parse("1", m), f).value
+        # x^3 = 1 in Z/5[x]/(x^3-1), so tr(x^3) = tr(1) and tr(x^4) = tr(x)
+        form = trace_form(parse("x^3-1", Modulus(5)))
+        assert form[1][2] == form[0][0] == 3
+        assert form[2][2] == form[0][1] == 0
 
     def test_rejects_non_monic(self):
-        m = Modulus(6)
         with pytest.raises(DomainError):
-            trace(parse("x", m), parse("2x^2+1", m))
+            trace_form(parse("2x^2+1", Modulus(6)))
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def modulus(n):
+    """Modulus(n), with the factorization of the prime 2^61 - 1 supplied:
+    trial division would take minutes on it, and the trace form reads only
+    n."""
+    if n != MERSENNE_61:
+        return Modulus(n)
+    m = object.__new__(Modulus)
+    m.n, m.factors = n, ((n, 1),)
+    return m
+
+
+def companion_trace_form(coeffs, n):
+    """Entry (i, j) = trace of C^(i+j) mod n, C the companion matrix of the
+    monic polynomial with ascending coefficients coeffs, by matrix powers."""
+    size = len(coeffs) - 1
+    # C maps x^j to x^(j+1), and x^(N-1) to -(c_0 + c_1 x + ...).
+    comp = [[0] * size for _ in range(size)]
+    for j in range(size - 1):
+        comp[j + 1][j] = 1
+    for i in range(size):
+        comp[i][size - 1] = -coeffs[i] % n
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    traces = []
+    for _ in range(2 * size - 1):
+        traces.append(sum(power[i][i] for i in range(size)) % n)
+        power = [[sum(power[i][k] * comp[k][j] for k in range(size)) % n
+                  for j in range(size)] for i in range(size)]
+    return tuple(tuple(traces[i + j] for j in range(size))
+                 for i in range(size))
 
 
 class TestTraceForm:
@@ -63,8 +97,7 @@ class TestTraceForm:
         m = Modulus(11)
         for a, b in itertools.product(range(11), repeat=2):
             form = trace_form(PolyZn(m, (b, a, 1)))
-            assert form.entries == ((2, -a % 11),
-                                    (-a % 11, (a * a - 2 * b) % 11))
+            assert form == ((2, -a % 11), (-a % 11, (a * a - 2 * b) % 11))
 
     def test_cubic_matrix(self):
         m = Modulus(11)
@@ -78,23 +111,34 @@ class TestTraceForm:
                 [a * a - 2 * b, -a**3 + 3 * a * b - 3 * c,
                  a**4 - 4 * a * a * b + 4 * a * c + 2 * b * b],
             ]
-            assert form.entries == tuple(
-                tuple(e % 11 for e in row) for row in expect)
+            assert form == tuple(tuple(e % 11 for e in row) for row in expect)
 
     def test_linear_matrix(self):
         m = Modulus(9)
         form = trace_form(parse("x-4", m))
-        assert form.dim == 1 and form.entries == ((1,),)
+        assert form == ((1,),)
 
     def test_symmetry_and_corner(self):
         for n in range(2, 13):
             for deg in (1, 2, 3, 4):
                 for f in itertools.islice(monic_polys(n, deg), 40):
                     form = trace_form(f)
-                    assert form.entries[0][0] == deg % n
+                    assert form[0][0] == deg % n
                     for i in range(deg):
                         for j in range(deg):
-                            assert form.entries[i][j] == form.entries[j][i]
+                            assert form[i][j] == form[j][i]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from([2, 3, 5, 7, 101, 1009, MERSENNE_61]),
+                     st.sampled_from([4, 8, 9, 27, 125, 2**20]),
+                     st.sampled_from([6, 12, 15, 30, 1001, 10**12]),
+                     st.integers(min_value=2, max_value=10**6)),
+           st.integers(min_value=1, max_value=12), st.data())
+    def test_matches_companion_matrix_powers(self, n, deg, data):
+        low = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                 min_size=deg, max_size=deg))
+        f = PolyZn(modulus(n), low + [1])
+        assert trace_form(f) == companion_trace_form(low + [1], n)
 
 
 class TestDiscriminant:
@@ -103,7 +147,7 @@ class TestDiscriminant:
             m = Modulus(n)
             for a, b in itertools.product(range(n), repeat=2):
                 d = discriminant(PolyZn(m, (b, a, 1)))
-                assert d.value == (a * a - 4 * b) % n
+                assert d == (a * a - 4 * b) % n
 
     def test_cubic_formula(self):
         m = Modulus(10)
@@ -113,10 +157,10 @@ class TestDiscriminant:
             d = discriminant(PolyZn(m, (c, b, a, 1)))
             expect = (a * a * b * b - 4 * a**3 * c - 4 * b**3
                       + 18 * a * b * c - 27 * c * c)
-            assert d.value == expect % 10
+            assert d == expect % 10
 
     def test_x_squared_is_zero(self):
-        assert discriminant(parse("x^2", Modulus(9))).value == 0
+        assert discriminant(parse("x^2", Modulus(9))) == 0
 
     def test_rejects_non_monic(self):
         with pytest.raises(DomainError):
@@ -130,8 +174,8 @@ class TestDiscriminant:
             deg = rng.randrange(1, 5)
             coeffs = [rng.randrange(n) for _ in range(deg)] + [1]
             form = trace_form(PolyZn(Modulus(n), coeffs))
-            base = _int_det(form.entries) % n
-            lifted = [list(row) for row in form.entries]
+            base = _int_det(form) % n
+            lifted = [list(row) for row in form]
             i = rng.randrange(deg)
             j = rng.randrange(deg)
             t = rng.choice([1, 2])
@@ -156,20 +200,16 @@ class TestSeparabilityMonic:
 class TestSeparabilityPrimeField:
     def test_zero_not_separable(self):
         for p in (2, 3, 5):
-            assert not is_separable_over_prime_field(PolyZn(Modulus(p), ()))
+            assert not is_separable(PolyZn(Modulus(p), ()))
 
     def test_nonzero_constant_separable(self):
-        assert is_separable_over_prime_field(parse("2", Modulus(3)))
+        assert is_separable(parse("2", Modulus(3)))
 
     def test_repeated_root_mod2(self):
-        assert not is_separable_over_prime_field(parse("x^2+1", Modulus(2)))
+        assert not is_separable(parse("x^2+1", Modulus(2)))
 
     def test_unit_derivative_mod2(self):
-        assert is_separable_over_prime_field(parse("x^2+x+1", Modulus(2)))
-
-    def test_rejects_composite(self):
-        with pytest.raises(DomainError):
-            is_separable_over_prime_field(parse("x", Modulus(4)))
+        assert is_separable(parse("x^2+x+1", Modulus(2)))
 
 
 class TestSeparabilityGeneral:
@@ -192,13 +232,12 @@ class TestSeparabilityGeneral:
 
     def test_reduction_criterion_prime_powers(self):
         # monic f over Z/p^k is separable iff f mod p is separable over Z/p
-        from sepzn.poly import reduce_modulus
         for p, k in [(2, 2), (2, 3), (3, 2)]:
             n = p**k
             for deg in (1, 2, 3):
                 for f in monic_polys(n, deg):
                     assert is_separable_monic(f) == \
-                        is_separable_over_prime_field(reduce_modulus(f, p))
+                        is_separable(PolyZn(Modulus(p), f.coeffs))
 
     def test_unit_scaling_invariance(self):
         for n in (4, 6, 9):
