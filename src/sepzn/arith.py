@@ -7,34 +7,131 @@ arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 
 class DomainError(ValueError):
     """Raised when an input lies outside an operation's domain."""
 
 
-@lru_cache(maxsize=None)
+# Trial division takes out every prime below _TRIAL_BOUND, so a cofactor
+# m > 1 below _TRIAL_BOUND**2 has no room for two prime factors: it is prime.
+_TRIAL_BOUND = 1000
+# Miller-Rabin with the prime bases up to 41 has no strong pseudoprime below
+# _MR_EXACT_BELOW (Sorenson and Webster 2015), so below it the test is a
+# proof of primality; at or above it a passing cofactor is refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+# Pollard-Brent rho steps allowed for splitting one cofactor.  A composite
+# below _MR_EXACT_BELOW has a prime factor p below about 1.8e12.  Rho takes
+# a median of 2 sqrt(p) steps to find it, and the most that 600 trials with
+# p near 1e9 took was 8 sqrt(p): about 2.7e6 and 1.1e7 steps at 1.8e12.
+# The cap, about 25 sqrt(1.8e12), leaves a wide margin over both; at about
+# 1 us a step, a composite whose factors are all larger is refused within
+# about half a minute.
+_RHO_STEP_CAP = 1 << 25
+_RHO_BATCH = 128  # differences multiplied together per gcd
+# Distinct n whose factorizations are kept; `table` over a wide range of n
+# must not keep one per n.
+_CACHE_SIZE = 4096
+
+
+def _is_certified_prime(m: int, n: int) -> bool:
+    """Whether the cofactor m > 1 of n, free of primes below _TRIAL_BOUND,
+    is prime; only a proof answers True."""
+    if m < _TRIAL_BOUND * _TRIAL_BOUND:
+        return True
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= _MR_EXACT_BELOW:
+        raise DomainError(
+            f"cannot factor {n}: its factor {m} is a probable prime at or "
+            f"above {_MR_EXACT_BELOW}, where primality is not certified")
+    return True
+
+
+def _rho_divisor(m: int, n: int) -> int:
+    """A proper divisor of the odd composite m (a cofactor of n) by
+    Pollard-Brent rho with batched gcds.  Each polynomial y^2 + c that
+    closes its cycle without a proper divisor is replaced by the next c."""
+    c = steps = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEP_CAP:
+                raise DomainError(
+                    f"cannot factor {n}: its composite factor {m} did not "
+                    f"split within {_RHO_STEP_CAP} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                k += _RHO_BATCH
+            r *= 2
+        if g == m:  # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 2 by trial division up to sqrt(n).
+    """Prime factorization of n >= 2.
+
+    Trial division by 2 and the odd numbers below _TRIAL_BOUND, then each
+    cofactor is certified prime (below _TRIAL_BOUND**2, or by deterministic
+    Miller-Rabin below _MR_EXACT_BELOW) or split by Pollard-Brent rho.
+    Raises DomainError for a probable-prime cofactor it cannot certify and
+    for a composite cofactor that rho does not split within _RHO_STEP_CAP
+    steps.
 
     Returns ((p1, k1), (p2, k2), ...) with primes strictly increasing.
     """
     if n < 2:
         raise DomainError(f"cannot factor {n}: need an integer >= 2")
-    factors = []
+    exponents: dict[int, int] = {}
     m = n
     p = 2
-    while p * p <= m:
+    while p < _TRIAL_BOUND and p * p <= m:
         if m % p == 0:
             k = 0
             while m % p == 0:
                 m //= p
                 k += 1
-            factors.append((p, k))
+            exponents[p] = k
         p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return tuple(factors)
+    cofactors = [m] if m > 1 else []
+    while cofactors:
+        m = cofactors.pop()
+        if _is_certified_prime(m, n):
+            exponents[m] = exponents.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m, n)
+            cofactors += (d, m // d)
+    return tuple(sorted(exponents.items()))
 
 
 class Modulus:

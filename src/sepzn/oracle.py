@@ -29,6 +29,7 @@ partition order cannot affect results.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -149,24 +150,43 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
     return count
 
 
-def enumerate_count(q: EnumerationQuery, budget: int = DEFAULT_BUDGET,
-                    workers: int = 1) -> int:
-    """Exact count of separable polynomials in the query's set.
+class _Pool(contextlib.ExitStack):
+    """The process pool for one command: at most one process per CPU,
+    started at the first map and shut down when the command leaves it."""
 
-    With workers > 1 the set is split into that many index ranges, run on
-    at most one process per CPU."""
-    n, d = q.modulus.n, q.degree_bound
+    def __init__(self, workers: int):
+        super().__init__()
+        self.workers = workers
+        self._executor = None
+
+    def map(self, *iterables):
+        if self._executor is None:
+            self._executor = self.enter_context(ProcessPoolExecutor(
+                max_workers=min(self.workers, os.cpu_count() or 1)))
+        return self._executor.map(count_range, *iterables)
+
+
+def _count(q: EnumerationQuery, budget: int, pool: _Pool) -> int:
+    """enumerate_count, with the ranges run on the given pool."""
+    n, d, workers = q.modulus.n, q.degree_bound, pool.workers
     size = census.count(q.modulus, d, q.mode).total  # the size, not the count
     if size > budget:
         raise BudgetExceeded(size, budget)
     if workers <= 1:
         return count_range(n, d, q.mode, 0, size)
     bounds = [size * i // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(
-            max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        parts = pool.map(count_range, [n] * workers, [d] * workers,
-                         [q.mode] * workers, bounds[:-1], bounds[1:])
-        return sum(parts)
+    return sum(pool.map([n] * workers, [d] * workers, [q.mode] * workers,
+                        bounds[:-1], bounds[1:]))
+
+
+def enumerate_count(q: EnumerationQuery, budget: int = DEFAULT_BUDGET,
+                    workers: int = 1) -> int:
+    """Exact count of separable polynomials in the query's set.
+
+    With workers > 1 the set is split into that many index ranges, run on
+    at most one process per CPU."""
+    with _Pool(workers) as pool:
+        return _count(q, budget, pool)
 
 
 def crt_product_count(m: Modulus, d: int, mode: Mode,
@@ -209,23 +229,25 @@ class VerificationReport:
 def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
            workers: int = 1) -> list[VerificationReport]:
     """Compare every census formula with the oracle for all d <= d_max and
-    all modes; queries over budget are reported as skipped."""
+    all modes; queries over budget are reported as skipped.  With
+    workers > 1 the queries share one process pool."""
     if d_max < 0:
         raise DomainError(f"d_max must be >= 0, got {d_max}")
     reports = []
-    for d in range(d_max + 1):
-        for mode in Mode:
-            q = EnumerationQuery(m, d, mode)
-            formula = census.count(m, d, mode).count
-            start = time.perf_counter()
-            try:
-                oracle = enumerate_count(q, budget=budget, workers=workers)
-            except BudgetExceeded:
+    with _Pool(workers) as pool:
+        for d in range(d_max + 1):
+            for mode in Mode:
+                q = EnumerationQuery(m, d, mode)
+                formula = census.count(m, d, mode).count
+                start = time.perf_counter()
+                try:
+                    oracle = _count(q, budget, pool)
+                except BudgetExceeded:
+                    reports.append(VerificationReport(
+                        q, None, formula, None, time.perf_counter() - start,
+                        skipped=True))
+                    continue
                 reports.append(VerificationReport(
-                    q, None, formula, None, time.perf_counter() - start,
-                    skipped=True))
-                continue
-            reports.append(VerificationReport(
-                q, oracle, formula, oracle == formula,
-                time.perf_counter() - start))
+                    q, oracle, formula, oracle == formula,
+                    time.perf_counter() - start))
     return reports

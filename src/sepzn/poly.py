@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from .arith import DomainError, Modulus
 
+# Largest exponent the term grammar accepts, checked before the coefficient
+# list is allocated: "x^99999999999" is a parse error, not a 100 GB list.
+MAX_EXPONENT = 1024
+
 
 class PolyParseError(ValueError):
     """Syntax error in polynomial text; carries the offending position."""
@@ -16,6 +20,16 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _to_int(digits: str, position: int) -> int:
+    """A string that str.isdigit accepts, as an int.  int() refuses one of
+    more than 4300 digits, or one with a digit that is not decimal ('2²')."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError("unreadable number: too long or not decimal",
+                             position) from None
 
 
 class PolyZn:
@@ -130,7 +144,7 @@ def _parse_coeff_list(text: str, modulus: Modulus) -> PolyZn:
         entry = part.strip()
         if not entry.isdigit():
             raise PolyParseError(f"expected a natural number, got {entry!r}", pos)
-        coeffs.append(int(entry))
+        coeffs.append(_to_int(entry, pos))
         pos += len(part) + 1
     return PolyZn(modulus, coeffs)
 
@@ -151,7 +165,7 @@ def _parse_terms(text: str, modulus: Modulus) -> PolyZn:
             j += 1
         if j == i:
             raise PolyParseError("expected a number", i)
-        return int(s[i:j]), j
+        return _to_int(s[i:j], i), j
 
     i = skip_ws(0)
     if i == length:
@@ -173,7 +187,12 @@ def _parse_terms(text: str, modulus: Modulus) -> PolyZn:
                 i = skip_ws(i + 1)
                 if i < length and s[i] == "-":
                     raise PolyParseError("negative exponent", i)
+                start = i
                 exponent, i = read_nat(i)
+                if exponent > MAX_EXPONENT:
+                    raise PolyParseError(
+                        f"exponent {exponent} is above the maximum degree "
+                        f"{MAX_EXPONENT}", start)
             else:
                 exponent = 1
         else:

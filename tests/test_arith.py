@@ -1,9 +1,12 @@
+import functools
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepzn import arith
 from sepzn.arith import (
     DomainError,
     Modulus,
@@ -28,6 +31,35 @@ def totient_sieve(limit):
     return phi
 
 
+@functools.cache
+def primes_below(limit):
+    """The primes below limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
+def trial_division(n):
+    """((p, k), ...) for n whose prime factors are all below 10^6, by
+    dividing out the primes in increasing order."""
+    factors, m = [], n
+    for p in primes_below(10**6):
+        if p * p > m:
+            break
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        if k:
+            factors.append((p, k))
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
+
+
 class TestFactorize:
     def test_composite(self):
         assert factorize(120) == ((2, 3), (3, 1), (5, 1))
@@ -46,6 +78,63 @@ class TestFactorize:
     @given(st.integers(min_value=2, max_value=10**6))
     def test_reconstructs_n(self, n):
         assert math.prod(p**k for p, k in factorize(n)) == n
+
+    @given(st.integers(min_value=2, max_value=10**7))
+    def test_matches_trial_division(self, n):
+        assert factorize(n) == trial_division(n)
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from(primes_below(10**6)),
+                    min_size=2, max_size=3))
+    def test_products_of_large_primes(self, primes):
+        n = math.prod(primes)
+        assert factorize(n) == trial_division(n)
+        assert factorize(n) == tuple(sorted(Counter(primes).items()))
+
+    @pytest.mark.parametrize("n, factors", [
+        # Carmichael numbers: Fermat pseudoprimes to every coprime base.
+        (561, ((3, 1), (11, 1), (17, 1))),
+        (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
+        (825265, ((5, 1), (7, 1), (17, 1), (19, 1), (73, 1))),
+        # Strong pseudoprimes to the bases 2, 3, 5, 7, and to every base up
+        # to 23.
+        (3215031751, ((151, 1), (751, 1), (28351, 1))),
+        (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),
+        (1000003**2 * 7, ((7, 1), (1000003, 2))),
+        # Rho with y^2 + 1 finds only the whole number, so it must go on to
+        # y^2 + 2.
+        (1009 * 1709, ((1009, 1), (1709, 1))),
+        (1217**2, ((1217, 2),)),
+        (2**200 * 3**50, ((2, 200), (3, 50))),
+        (2**61 - 1, ((2**61 - 1, 1),)),
+    ])
+    def test_hard_cases(self, n, factors):
+        assert factorize(n) == factors
+
+    def test_largest_certifiable_split(self):
+        # Both factors above 10^12: about the largest rho must find below
+        # the Miller-Rabin bound.
+        p, q = 10**12 + 39, 18 * 10**11 + 47
+        assert factorize(p * q) == ((p, 1), (q, 1))
+
+    def test_refuses_uncertified_probable_prime(self):
+        # 2^89 - 1 is prime but above the deterministic Miller-Rabin bound.
+        with pytest.raises(DomainError):
+            Modulus(2**89 - 1)
+        # The bound is itself composite, a strong pseudoprime to every base
+        # up to 41, and must not be reported prime.
+        assert arith._MR_EXACT_BELOW == 1287836182261 * 2575672364521
+        with pytest.raises(DomainError):
+            factorize(arith._MR_EXACT_BELOW)
+
+    def test_refuses_split_beyond_step_cap(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_STEP_CAP", 64)
+        factorize.cache_clear()
+        with pytest.raises(DomainError, match="rho steps"):
+            factorize(999983 * 1000003)
+
+    def test_cache_is_bounded(self):
+        assert factorize.cache_info().maxsize is not None
 
 
 class TestModulus:

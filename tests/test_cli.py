@@ -208,3 +208,25 @@ def test_negative_degree_is_domain_error(capsys, argv):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("domain error: ")
     assert "Traceback" not in captured.err
+
+
+def test_factor_mersenne_61(capsys):
+    status, recs = run_lines(capsys, ["factor", "-n", "2305843009213693951"])
+    assert status == 0
+    assert recs[0]["result"]["factors"] == [[2305843009213693951, 1]]
+    assert cli.run(["count", "-n", "2305843009213693951", "-d", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv, status, prefix", [
+    # 2^89 - 1: a prime above the deterministic Miller-Rabin bound.
+    (["factor", "-n", "618970019642690137449562111"], 2, "domain error: "),
+    (["check", "-n", "6", "-f", "x^99999999999"], 1, "usage error: "),
+    (["check", "-n", "6", "-f", "9" * 5000 + "x+1"], 1, "usage error: "),
+])
+def test_refusals_are_one_line(capsys, argv, status, prefix):
+    assert cli.run(argv) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix)
+    assert "Traceback" not in captured.err

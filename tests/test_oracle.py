@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,33 @@ from sepzn.oracle import (
 )
 from sepzn.poly import PolyZn
 from sepzn.septest import is_separable
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the oracle's process pool by one that maps serially and
+    starts no process, on a host with 2 CPUs.  Returns the log: max_workers
+    of each pool started, and the number of ranges of each map."""
+    log = types.SimpleNamespace(starts=[], maps=[])
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            log.starts.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            ranges = list(zip(*iterables))
+            log.maps.append(len(ranges))
+            return [fn(*args) for args in ranges]
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    return log
 
 
 def space_size(q):
@@ -71,36 +99,33 @@ class TestDeterminismAndPartition:
                      for lo, hi in zip(bounds, bounds[1:])]
             assert sum(parts) == whole
 
-    def test_processes_capped_at_cpu_count(self, monkeypatch):
+    def test_processes_capped_at_cpu_count(self, serial_pool, monkeypatch):
         # The pool forks max_workers processes at its first submit, so a
         # large --workers must not reach it; the ranges still number
-        # `workers`.  The fake pool maps serially and starts no process.
-        calls = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                calls.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                ranges = list(zip(*iterables))
-                calls.append(len(ranges))
-                return [fn(*args) for args in ranges]
-
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        # `workers`.
         q = EnumerationQuery(Modulus(6), 2, Mode.LEQ)
         assert enumerate_count(q, workers=100000) == enumerate_count(q)
         assert enumerate_count(q, workers=8) == enumerate_count(q)
-        assert calls == [2, 100000, 2, 8]
+        assert serial_pool.starts == [2, 2]
+        assert serial_pool.maps == [100000, 8]
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
         enumerate_count(q, workers=3)
-        assert calls[-2:] == [1, 3]
+        assert (serial_pool.starts[-1], serial_pool.maps[-1]) == (1, 3)
+
+    def test_verify_starts_one_pool(self, serial_pool):
+        # Every query of one verify call maps its ranges on the same pool,
+        # started only once a query runs on more than one worker.
+        def results(reports):
+            return [(r.query, r.oracle_count, r.match, r.skipped)
+                    for r in reports]
+
+        serial = verify(Modulus(5), 2)
+        assert serial_pool.starts == []
+        assert results(verify(Modulus(5), 2, workers=2)) == results(serial)
+        assert serial_pool.starts == [2]
+        assert serial_pool.maps == [2] * 9  # 3 degrees x 3 modes
+        verify(Modulus(5), 2, budget=0, workers=2)  # every query skipped
+        assert serial_pool.starts == [2]
 
 
 class TestCrtProductCount:

@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepzn.arith import DomainError, Modulus
-from sepzn.poly import PolyParseError, PolyZn, format_poly, parse
+from sepzn.poly import (
+    MAX_EXPONENT,
+    PolyParseError,
+    PolyZn,
+    format_poly,
+    parse,
+)
 from sepzn.septest import _gcd_lists, _rem_lists
 
 
@@ -92,6 +98,20 @@ class TestParse:
     def test_empty_rejected(self):
         with pytest.raises(PolyParseError):
             parse("   ", Modulus(6))
+
+    def test_exponent_cap(self):
+        assert parse(f"x^{MAX_EXPONENT}", Modulus(6)).degree == MAX_EXPONENT
+        for text in (f"x^{MAX_EXPONENT + 1}", "1+x^99999999999"):
+            with pytest.raises(PolyParseError) as e:
+                parse(text, Modulus(6))
+            assert e.value.position == text.index("^") + 1
+
+    def test_unreadable_number_rejected(self):
+        digits = "9" * 5000  # past int()'s default limit of 4300 digits
+        for text in (f"{digits}x+1", f"x^{digits}", f"{digits},1",
+                     "\u00b2x+1", "1,\u00b2"):  # superscript two: a digit
+            with pytest.raises(PolyParseError):
+                parse(text, Modulus(6))
 
     @given(st.integers(min_value=2, max_value=50),
            st.lists(st.integers(min_value=0, max_value=49), max_size=6))

@@ -60,17 +60,6 @@ class TestTrace:
 MERSENNE_61 = 2**61 - 1
 
 
-def modulus(n):
-    """Modulus(n), with the factorization of the prime 2^61 - 1 supplied:
-    trial division would take minutes on it, and the trace form reads only
-    n."""
-    if n != MERSENNE_61:
-        return Modulus(n)
-    m = object.__new__(Modulus)
-    m.n, m.factors = n, ((n, 1),)
-    return m
-
-
 def companion_trace_form(coeffs, n):
     """Entry (i, j) = trace of C^(i+j) mod n, C the companion matrix of the
     monic polynomial with ascending coefficients coeffs, by matrix powers."""
@@ -137,7 +126,7 @@ class TestTraceForm:
     def test_matches_companion_matrix_powers(self, n, deg, data):
         low = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1),
                                  min_size=deg, max_size=deg))
-        f = PolyZn(modulus(n), low + [1])
+        f = PolyZn(Modulus(n), low + [1])
         assert trace_form(f) == companion_trace_form(low + [1], n)
 
 
