@@ -17,7 +17,6 @@ from .census import (
 )
 from .oracle import (
     BudgetExceeded,
-    EnumerationQuery,
     VerificationReport,
     crt_product_count,
     enumerate_count,
@@ -27,8 +26,8 @@ from .poly import PolyParseError, PolyZn, format_poly, parse
 from .septest import discriminant, is_separable, is_separable_monic, trace_form
 
 __all__ = [
-    "BudgetExceeded", "CountResult", "DomainError", "EnumerationQuery",
-    "Mode", "Modulus", "PolyParseError", "PolyZn", "VerificationReport",
+    "BudgetExceeded", "CountResult", "DomainError", "Mode", "Modulus",
+    "PolyParseError", "PolyZn", "VerificationReport",
     "count", "count_leq_recurrence", "count_monic_separable",
     "count_monic_separable_primepower", "count_separable_exact",
     "count_separable_leq", "count_separable_leq_primepower",

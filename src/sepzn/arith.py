@@ -149,10 +149,6 @@ class Modulus:
         self.n = n
         self.factors = factorize(n)
 
-    def prime_power_components(self) -> list["Modulus"]:
-        """The moduli p^k of the CRT decomposition of Z/n."""
-        return [Modulus(p**k) for p, k in self.factors]
-
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.n == other.n
 

@@ -36,6 +36,12 @@ class CountResult:
     proportion: Fraction
 
 
+# Python renders an int of at most 4300 digits as a string, and every count
+# and set size is printed as one; no count is taken over a larger set.
+MAX_DIGITS = 4300
+_SIZE_LIMIT = 10**MAX_DIGITS
+
+
 def _require_degree(d: int):
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
@@ -102,15 +108,22 @@ def count_separable_exact(m: Modulus, d: int) -> int:
 def count(m: Modulus, d: int, mode: Mode) -> CountResult:
     """The separable count of one mode, the size of the set it is taken
     over (n^d monic, n^(d+1) degree <= d, (n-1)n^d degree exactly d) and
-    their exact ratio."""
-    n = m.n
-    mode = Mode(mode)
-    if mode is Mode.MONIC:
-        c, total = count_monic_separable(m, d), n**d
-    elif mode is Mode.LEQ:
-        c, total = count_separable_leq(m, d), n ** (d + 1)
-    else:
-        c, total = count_separable_exact(m, d), (n - 1) * n**d
+    their exact ratio.
+
+    Refuses a set whose size has more than MAX_DIGITS decimal digits."""
+    n, mode = m.n, Mode(mode)
+    # The formula, and how many values the leading coefficient takes.
+    formula, lead = {Mode.MONIC: (count_monic_separable, 1),
+                     Mode.LEQ: (count_separable_leq, n),
+                     Mode.EXACT: (count_separable_exact, n - 1)}[mode]
+    _require_degree(d)
+    # Every set holds at least n^d >= 2^(d(bits - 1)) tuples, so the test of
+    # bit lengths refuses a far too large set before any power is taken.
+    if (d * (n.bit_length() - 1) >= _SIZE_LIMIT.bit_length()
+            or (total := lead * n**d) >= _SIZE_LIMIT):
+        raise DomainError(f"the {mode.value} set at d = {d} has a size of "
+                          f"more than {MAX_DIGITS} digits")
+    c = formula(m, d)
     return CountResult(c, total, Fraction(c, total))
 
 

@@ -34,28 +34,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(command: str, inputs: dict, result: dict, provenance: str,
-          stream=None):
+def _emit(command: str, inputs: dict, result: dict, provenance: str):
     record = {"command": command, "inputs": inputs, "result": result,
               "provenance": provenance}
-    print(json.dumps(record), file=stream or sys.stdout)
+    print(json.dumps(record))
 
 
-def _decimal_str(value: Fraction, digits: int) -> str:
-    whole, rest = divmod(value.numerator, value.denominator)
-    if digits <= 0:
-        return str(whole)
-    frac = rest * 10**digits // value.denominator
-    return f"{whole}.{frac:0{digits}d}"
-
-
-def _rational_result(value: Fraction, decimal: int | None) -> dict:
-    result = {"type": "rational",
-              "value": f"{value.numerator}/{value.denominator}"}
+def _rational(key: str, value: Fraction, decimal: int | None = None) -> dict:
+    """value under key as "numerator/denominator", followed, when decimal
+    is given, by value truncated to `decimal` places, flagged approximate."""
+    fields = {key: f"{value.numerator}/{value.denominator}"}
     if decimal is not None:
-        result["decimal"] = _decimal_str(value, decimal)
-        result["approximate"] = True
-    return result
+        if decimal > census.MAX_DIGITS:
+            raise DomainError(f"--decimal must be <= {census.MAX_DIGITS}, "
+                              f"got {decimal}")
+        whole, rest = divmod(value.numerator, value.denominator)
+        fields["decimal"] = str(whole)
+        if decimal > 0:
+            frac = rest * 10**decimal // value.denominator
+            fields["decimal"] += f".{frac:0{decimal}d}"
+        fields["approximate"] = True
+    return fields
 
 
 def _cmd_factor(args) -> int:
@@ -96,12 +95,9 @@ def _cmd_count(args) -> int:
     m = Modulus(args.n)
     mode = census.Mode(args.mode)
     r = census.count(m, args.d, mode)
-    result = {"type": "count", "value": r.count, "total": r.total,
-              "proportion": f"{r.proportion.numerator}/{r.proportion.denominator}"}
-    if args.decimal is not None:
-        result["decimal"] = _decimal_str(r.proportion, args.decimal)
-        result["approximate"] = True
-    _emit("count", {"n": m.n, "d": args.d, "mode": mode.value}, result,
+    _emit("count", {"n": m.n, "d": args.d, "mode": mode.value},
+          {"type": "count", "value": r.count, "total": r.total,
+           **_rational("proportion", r.proportion, args.decimal)},
           "formula")
     return 0
 
@@ -110,20 +106,16 @@ def _cmd_proportion(args) -> int:
     m = Modulus(args.n)
     value = census.proportion_monic_separable(m, args.d)
     _emit("proportion", {"n": m.n, "d": args.d},
-          _rational_result(value, args.decimal), "formula")
+          {"type": "rational", **_rational("value", value, args.decimal)},
+          "formula")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     m = Modulus(args.n)
     mode = census.Mode(args.mode)
-    if args.crt:
-        count = oracle.crt_product_count(m, args.d, mode, budget=args.budget,
-                                         workers=args.workers)
-    else:
-        q = oracle.EnumerationQuery(m, args.d, mode)
-        count = oracle.enumerate_count(q, budget=args.budget,
-                                       workers=args.workers)
+    count = (oracle.crt_product_count if args.crt else oracle.enumerate_count)(
+        m, args.d, mode, budget=args.budget, workers=args.workers)
     _emit("enumerate",
           {"n": m.n, "d": args.d, "mode": mode.value, "crt": args.crt},
           {"type": "count", "value": count}, "enumeration")
@@ -134,36 +126,40 @@ def _cmd_verify(args) -> int:
     m = Modulus(args.n)
     reports = oracle.verify(m, args.d_max, budget=args.budget,
                             workers=args.workers)
-    mismatch = False
     for r in reports:
         _emit("verify",
-              {"n": m.n, "d": r.query.degree_bound, "mode": r.query.mode.value},
+              {"n": m.n, "d": r.d, "mode": r.mode.value},
               {"type": "verification", "oracle": r.oracle_count,
                "formula": r.formula_count, "match": r.match,
                "skipped": r.skipped, "elapsed": r.elapsed}, "both")
-        if r.match is False:
-            mismatch = True
-    return 3 if mismatch else 0
+    return 3 if any(r.match is False for r in reports) else 0
 
 
 def _cmd_table(args) -> int:
     mode = census.Mode(args.mode)
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        m = Modulus(n)
-        for d in range(args.d_min, args.d_max + 1):
-            r = census.count(m, d, mode)
-            rows.append((n, d, mode.value, r.count,
-                         f"{r.proportion.numerator}/{r.proportion.denominator}"))
+    ns = range(args.n_min, args.n_max + 1)
+    ds = range(args.d_min, args.d_max + 1)
+    # Refuse a bad range before the first row.
+    if ns and args.n_min < 2:
+        raise DomainError(f"--n-min must be >= 2, got {args.n_min}")
+    if ns and ds:
+        for d in (args.d_min, args.d_max):  # d >= 0; the largest set
+            census.count(Modulus(args.n_max), d, mode)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "d", "mode", "count", "proportion"])
-        writer.writerows(rows)
-    else:
-        for n, d, mode_value, count, proportion in rows:
-            _emit("table", {"n": n, "d": d, "mode": mode_value},
-                  {"type": "count", "value": count, "proportion": proportion},
-                  "formula")
+    for n in ns:
+        m = Modulus(n)
+        for d in ds:
+            r = census.count(m, d, mode)
+            fields = _rational("proportion", r.proportion)
+            if args.format == "csv":
+                writer.writerow([n, d, mode.value, r.count,
+                                 fields["proportion"]])
+            else:
+                _emit("table", {"n": n, "d": d, "mode": mode.value},
+                      {"type": "count", "value": r.count, **fields},
+                      "formula")
     return 0
 
 

@@ -46,18 +46,6 @@ from .septest import _separable_coeffs_mod_p
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class EnumerationQuery:
-    modulus: Modulus
-    degree_bound: int
-    mode: Mode
-
-    def __post_init__(self):
-        if self.degree_bound < 0:
-            raise DomainError(
-                f"degree must be >= 0, got {self.degree_bound}")
-
-
 class BudgetExceeded(Exception):
     """The query needs more separability tests than the budget allows."""
 
@@ -117,18 +105,20 @@ class _PrimeWalk:
 
 def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
     """Separable tuples among indices [lo, hi) of the query's space."""
-    q = EnumerationQuery(Modulus(n), d, Mode(mode))
+    if d < 0:
+        raise DomainError(f"degree must be >= 0, got {d}")
+    mode = Mode(mode)
     # Coefficient i is first[i] + offset, offset in range(radix[i]); the
     # leading one is fixed at 1 (monic), nonzero (exact) or free (leq).
     lead = {Mode.MONIC: (1, 1), Mode.EXACT: (1, n - 1), Mode.LEQ: (0, n)}
-    first = [0] * d + [lead[q.mode][0]]
-    radix = [n] * d + [lead[q.mode][1]]
+    first = [0] * d + [lead[mode][0]]
+    radix = [n] * d + [lead[mode][1]]
     offsets, t = [], lo
     for r in radix:
         t, j = divmod(t, r)
         offsets.append(j)
     coeffs = [f + j for f, j in zip(first, offsets)]
-    primes = [_PrimeWalk(p, n, radix, offsets) for p, _ in q.modulus.factors]
+    primes = [_PrimeWalk(p, n, radix, offsets) for p, _ in Modulus(n).factors]
     count, t = 0, lo
     while t < hi:
         a = offsets[0]
@@ -151,48 +141,48 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
 
 
 class _Pool(contextlib.ExitStack):
-    """The process pool for one command: at most one process per CPU,
-    started at the first map and shut down when the command leaves it."""
+    """The process pool for one command.  Its workers are capped at one
+    per CPU; each query's space is split into that many index ranges, and
+    the pool is started at the first split and shut down when the command
+    leaves it."""
 
     def __init__(self, workers: int):
         super().__init__()
-        self.workers = workers
+        self.workers = min(workers, os.cpu_count() or 1)
         self._executor = None
 
-    def map(self, *iterables):
+    def count(self, m: Modulus, d: int, mode: Mode, budget: int) -> int:
+        """enumerate_count on this pool."""
+        size = census.count(m, d, mode).total  # the size, not the count
+        if size > budget:
+            raise BudgetExceeded(size, budget)
+        n, w = m.n, self.workers
+        if w <= 1:
+            return count_range(n, d, mode, 0, size)
         if self._executor is None:
-            self._executor = self.enter_context(ProcessPoolExecutor(
-                max_workers=min(self.workers, os.cpu_count() or 1)))
-        return self._executor.map(count_range, *iterables)
+            self._executor = self.enter_context(
+                ProcessPoolExecutor(max_workers=w))
+        bounds = [size * i // w for i in range(w + 1)]
+        return sum(self._executor.map(count_range, [n] * w, [d] * w,
+                                      [mode] * w, bounds[:-1], bounds[1:]))
 
 
-def _count(q: EnumerationQuery, budget: int, pool: _Pool) -> int:
-    """enumerate_count, with the ranges run on the given pool."""
-    n, d, workers = q.modulus.n, q.degree_bound, pool.workers
-    size = census.count(q.modulus, d, q.mode).total  # the size, not the count
-    if size > budget:
-        raise BudgetExceeded(size, budget)
-    if workers <= 1:
-        return count_range(n, d, q.mode, 0, size)
-    bounds = [size * i // workers for i in range(workers + 1)]
-    return sum(pool.map([n] * workers, [d] * workers, [q.mode] * workers,
-                        bounds[:-1], bounds[1:]))
+def enumerate_count(m: Modulus, d: int, mode: Mode,
+                    budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
+    """Exact count of separable polynomials in the set census.count(m, d,
+    mode) sizes.
 
-
-def enumerate_count(q: EnumerationQuery, budget: int = DEFAULT_BUDGET,
-                    workers: int = 1) -> int:
-    """Exact count of separable polynomials in the query's set.
-
-    With workers > 1 the set is split into that many index ranges, run on
-    at most one process per CPU."""
+    With workers > 1 the set is split into index ranges run on at most
+    one process per CPU."""
     with _Pool(workers) as pool:
-        return _count(q, budget, pool)
+        return pool.count(m, d, mode, budget)
 
 
 def crt_product_count(m: Modulus, d: int, mode: Mode,
                       budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
     """enumerate_count via the CRT decomposition: enumerate each prime-power
-    component separately and multiply the component counts.
+    component separately and multiply the component counts.  Every walk
+    runs on one pool.
 
     Exponentially cheaper than the full ring (Z/120 at d = 3 costs
     8^4 + 3^4 + 5^4 = 4802 tests instead of 120^4).  For exact-degree
@@ -201,24 +191,27 @@ def crt_product_count(m: Modulus, d: int, mode: Mode,
     difference of two degree <= d products.
     """
     mode = Mode(mode)
-    if mode is Mode.EXACT and d >= 1:
-        return (crt_product_count(m, d, Mode.LEQ, budget, workers)
-                - crt_product_count(m, d - 1, Mode.LEQ, budget, workers))
-    result = 1
-    for component in m.prime_power_components():
-        q = EnumerationQuery(component, d, mode)
-        result *= enumerate_count(q, budget=budget, workers=workers)
-    return result
+    with _Pool(workers) as pool:
+        def product(d: int, mode: Mode) -> int:
+            result = 1
+            for p, k in m.factors:
+                result *= pool.count(Modulus(p**k), d, mode, budget)
+            return result
+
+        if mode is Mode.EXACT and d >= 1:
+            return product(d, Mode.LEQ) - product(d - 1, Mode.LEQ)
+        return product(d, mode)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Formula-vs-enumeration comparison for one (modulus, degree, mode).
+    """Formula-vs-enumeration comparison for one degree and mode.
 
     match is None when the query was skipped for exceeding the budget.
     """
 
-    query: EnumerationQuery
+    d: int
+    mode: Mode
     oracle_count: int | None
     formula_count: int
     match: bool | None
@@ -233,21 +226,19 @@ def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
     workers > 1 the queries share one process pool."""
     if d_max < 0:
         raise DomainError(f"d_max must be >= 0, got {d_max}")
+    census.count(m, d_max, Mode.LEQ)  # the largest set; refused if too large
     reports = []
     with _Pool(workers) as pool:
         for d in range(d_max + 1):
             for mode in Mode:
-                q = EnumerationQuery(m, d, mode)
                 formula = census.count(m, d, mode).count
                 start = time.perf_counter()
                 try:
-                    oracle = _count(q, budget, pool)
+                    oracle = pool.count(m, d, mode, budget)
                 except BudgetExceeded:
-                    reports.append(VerificationReport(
-                        q, None, formula, None, time.perf_counter() - start,
-                        skipped=True))
-                    continue
+                    oracle = None
                 reports.append(VerificationReport(
-                    q, oracle, formula, oracle == formula,
-                    time.perf_counter() - start))
+                    d, mode, oracle, formula,
+                    None if oracle is None else oracle == formula,
+                    time.perf_counter() - start, skipped=oracle is None))
     return reports

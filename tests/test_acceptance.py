@@ -11,7 +11,6 @@ from sepzn import census
 from sepzn.arith import Modulus, totient, totient_prime_power
 from sepzn.oracle import (
     BudgetExceeded,
-    EnumerationQuery,
     Mode,
     crt_product_count,
     enumerate_count,
@@ -31,8 +30,8 @@ def test_01_carlitz_desk_scale():
     ok = True
     for p in (2, 3, 5, 7):
         for d in (2, 3):
-            q = EnumerationQuery(Modulus(p), d, Mode.MONIC)
-            ok = ok and enumerate_count(q) == p**d - p ** (d - 1)
+            ok = ok and enumerate_count(Modulus(p), d, Mode.MONIC) == \
+                p**d - p ** (d - 1)
     report(1, "Carlitz monic counts over Z/p", ok)
 
 
@@ -40,8 +39,8 @@ def test_02_theorem_monic_prime_power():
     ok = True
     for p, k in ((2, 2), (2, 3), (3, 2), (5, 2)):
         for d in (2, 3):
-            q = EnumerationQuery(Modulus(p**k), d, Mode.MONIC)
-            ok = ok and enumerate_count(q) == totient_prime_power(p, k * d)
+            ok = ok and enumerate_count(Modulus(p**k), d, Mode.MONIC) == \
+                totient_prime_power(p, k * d)
     report(2, "monic counts over Z/p^k equal phi(p^(kd))", ok)
 
 
@@ -50,9 +49,8 @@ def test_03_theorem_leq_prime_power():
     for p, k in ((2, 2), (2, 3), (3, 2), (5, 2)):
         phi = totient_prime_power(p, k)
         for d in (0, 1, 2, 3):
-            q = EnumerationQuery(Modulus(p**k), d, Mode.LEQ)
             expect = phi if d == 0 else phi * p ** ((k - 1) * d) * (p**d + 1)
-            ok = ok and enumerate_count(q) == expect
+            ok = ok and enumerate_count(Modulus(p**k), d, Mode.LEQ) == expect
     report(3, "degree <= d counts over Z/p^k", ok)
 
 
@@ -62,7 +60,7 @@ def test_04_multiplicativity_full_ring():
         m = Modulus(n)
         for d in (1, 2):
             for mode in Mode:
-                oracle = enumerate_count(EnumerationQuery(m, d, mode))
+                oracle = enumerate_count(m, d, mode)
                 if mode is Mode.MONIC:
                     formula = census.count_monic_separable(m, d)
                 elif mode is Mode.LEQ:
@@ -70,8 +68,7 @@ def test_04_multiplicativity_full_ring():
                 else:
                     formula = census.count_separable_exact(m, d)
                 ok = ok and oracle == formula == crt_product_count(m, d, mode)
-    ok = ok and enumerate_count(
-        EnumerationQuery(Modulus(15), 2, Mode.EXACT)) == 1888
+    ok = ok and enumerate_count(Modulus(15), 2, Mode.EXACT) == 1888
     report(4, "full-ring counts, formula and CRT product", ok)
 
 
@@ -80,7 +77,7 @@ def test_05_z120_paper_value():
     ok = census.count_separable_leq(m, 3) == 65028096
     ok = ok and crt_product_count(m, 3, Mode.LEQ, budget=4802) == 65028096
     try:
-        enumerate_count(EnumerationQuery(m, 3, Mode.LEQ))  # 120^4 > 10^8
+        enumerate_count(m, 3, Mode.LEQ)  # 120^4 > 10^8
         ok = False
     except BudgetExceeded as e:
         ok = ok and e.required == 120**4
@@ -161,8 +158,8 @@ def test_09_structural_properties():
                             for e in range(d + 1)) == \
                 census.count_separable_leq(m, d)
     # deterministic parallel enumeration
-    q = EnumerationQuery(Modulus(12), 2, Mode.LEQ)
-    counts = {enumerate_count(q, workers=w) for w in (1, 2, 8)}
+    counts = {enumerate_count(Modulus(12), 2, Mode.LEQ, workers=w)
+              for w in (1, 2, 8)}
     ok = ok and len(counts) == 1
     report(9, "structural properties", ok)
 
@@ -173,10 +170,10 @@ def test_10_erratum_resolution():
         phi = totient_prime_power(p, k)
         stated = phi * (p**k + p ** (k - 1))
         variant = phi * (p**k + p ** (k + 1))
-        oracle = enumerate_count(EnumerationQuery(Modulus(p**k), 1, Mode.LEQ))
+        oracle = enumerate_count(Modulus(p**k), 1, Mode.LEQ)
         ok = ok and oracle == stated and oracle != variant
     m = Modulus(6)
-    oracle = enumerate_count(EnumerationQuery(m, 2, Mode.LEQ))
+    oracle = enumerate_count(m, 2, Mode.LEQ)
     phi_n = totient(m)
     plus = phi_n * m.n**2
     minus = Fraction(phi_n * m.n**2)

@@ -1,8 +1,8 @@
 import sepzn
 
 PUBLIC = [
-    "BudgetExceeded", "CountResult", "DomainError", "EnumerationQuery",
-    "Mode", "Modulus", "PolyParseError", "PolyZn", "VerificationReport",
+    "BudgetExceeded", "CountResult", "DomainError", "Mode", "Modulus",
+    "PolyParseError", "PolyZn", "VerificationReport",
     "count", "count_leq_recurrence", "count_monic_separable",
     "count_monic_separable_primepower", "count_separable_exact",
     "count_separable_leq", "count_separable_leq_primepower",

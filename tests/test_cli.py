@@ -1,8 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepzn import cli
 from sepzn.arith import Modulus
@@ -230,3 +235,128 @@ def test_refusals_are_one_line(capsys, argv, status, prefix):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(prefix)
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-n", "6", "-d", "6000"],
+    ["enumerate", "-n", "6", "-d", "6000"],
+    ["verify", "-n", "6", "--d-max", "6000", "--budget", "10"],
+    ["proportion", "-n", "6", "-d", "2", "--decimal", "5000"],
+    ["table", "--n-min", "2", "--n-max", "3", "--d-min", "0",
+     "--d-max", "100000000"],
+    ["count", "-n", str(2**14000), "-d", "1"],
+    ["count", "-n", "6", "-d", "100000000"],
+    ["table", "--n-min", "1", "--n-max", "3", "--d-min", "0",
+     "--d-max", "1"],
+])
+def test_sizes_beyond_printable_are_refused(capsys, argv):
+    # Python renders no int of more than 4300 digits; a set that large, or
+    # that many decimals, is refused before anything is printed.
+    start = time.perf_counter()
+    assert cli.run(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("domain error: ")
+
+
+def test_largest_printable_set(capsys):
+    # 2^14284 has 4300 digits, 2^14285 has 4301.
+    status, recs = run_lines(capsys, ["count", "--mode", "monic", "-n", "2",
+                                      "-d", "14284", "--decimal", "4300"])
+    assert status == 0
+    assert recs[0]["result"]["total"] == 2**14284
+    assert cli.run(["count", "--mode", "monic", "-n", "2", "-d", "14285"]) == 2
+
+
+def test_table_streams_rows(monkeypatch):
+    # Each row is written before the next count is taken.
+    out = io.StringIO()
+    written = []
+    count = cli.census.count
+
+    def counting(*args):
+        written.append(out.getvalue().count("\n"))
+        return count(*args)
+
+    monkeypatch.setattr(cli.census, "count", counting)
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["table", "--n-min", "2", "--n-max", "4",
+                        "--d-min", "0", "--d-max", "1"]) == 0
+    # Two checks of the range first, then one count per row after the header.
+    assert written == [0, 0] + list(range(1, 7))
+
+
+# Moduli up to 10^30 whose factorization is quick: products of small and
+# large known primes, plus the edges below 2 and a prime factorize refuses.
+PRIMES = [2, 3, 5, 7, 11, 13, 101, 1009, 1000003, 2**31 - 1, 2**61 - 1]
+MODULI = st.one_of(
+    st.integers(min_value=-3, max_value=60),
+    st.lists(st.sampled_from(PRIMES), min_size=1, max_size=8)
+    .map(math.prod).filter(lambda n: n <= 10**30),
+    st.sampled_from([10**30, 2**89 - 1]),
+)
+DEGREES = st.one_of(st.integers(min_value=-1, max_value=6),
+                    st.integers(min_value=0, max_value=10**6))
+DECIMALS = st.one_of(st.none(), st.integers(min_value=-2, max_value=20),
+                     st.integers(min_value=0, max_value=10**5))
+BUDGETS = st.integers(min_value=0, max_value=10**4)
+MODES = st.sampled_from(["monic", "leq", "exact"])
+
+
+@st.composite
+def argvs(draw):
+    n, d = str(draw(MODULI)), str(draw(DEGREES))
+    decimal = draw(DECIMALS)
+    decimal = [] if decimal is None else ["--decimal", str(decimal)]
+    budget = ["--budget", str(draw(BUDGETS)), "--workers", "1"]
+    command = draw(st.sampled_from(
+        ["factor", "count", "proportion", "enumerate", "verify", "table"]))
+    if command == "factor":
+        return ["factor", "-n", n]
+    if command == "count":
+        return ["count", "--mode", draw(MODES), "-n", n, "-d", d] + decimal
+    if command == "proportion":
+        return ["proportion", "-n", n, "-d", d] + decimal
+    if command == "enumerate":
+        crt = ["--crt"] if draw(st.booleans()) else []
+        return ["enumerate", "--mode", draw(MODES), "-n", n, "-d", d] \
+            + budget + crt
+    if command == "verify":
+        return ["verify", "-n", n, "--d-max", d] + budget
+    n_max = str(int(n) + draw(st.integers(min_value=0, max_value=3)))
+    d_max = str(int(d) + draw(st.integers(min_value=0, max_value=3)))
+    return ["table", "--n-min", n, "--n-max", n_max, "--d-min", d,
+            "--d-max", d_max, "--mode", draw(MODES),
+            "--format", draw(st.sampled_from(["csv", "jsonl"]))]
+
+
+def floats_in(value):
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = [v for k, v in value.items() if k != "elapsed"]  # a timing
+    if isinstance(value, list):
+        return [f for v in value for f in floats_in(v)]
+    return []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argvs())
+def test_every_invocation_has_a_defined_answer(argv):
+    # Exit 0-3, never a traceback, and no float in an exact result.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.run(argv)
+    assert status in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if status != 0:
+        assert err.getvalue().count("\n") >= 1
+    if argv[0] == "table" and "csv" in argv:
+        assert all("." not in field
+                   for row in csv.reader(io.StringIO(out.getvalue()))
+                   for field in row)
+        return
+    for line in out.getvalue().splitlines():
+        assert floats_in(json.loads(line)["result"]) == []

@@ -9,7 +9,6 @@ from sepzn import census, oracle
 from sepzn.arith import DomainError, Modulus
 from sepzn.oracle import (
     BudgetExceeded,
-    EnumerationQuery,
     Mode,
     count_range,
     crt_product_count,
@@ -47,51 +46,45 @@ def serial_pool(monkeypatch):
     return log
 
 
-def space_size(q):
-    return census.count(q.modulus, q.degree_bound, q.mode).total
+def space_size(n, d, mode):
+    return census.count(Modulus(n), d, mode).total
 
 
 class TestEnumerateCount:
     def test_mod2_monic_quadratics(self):
-        q = EnumerationQuery(Modulus(2), 2, Mode.MONIC)
-        assert enumerate_count(q) == 2
+        assert enumerate_count(Modulus(2), 2, Mode.MONIC) == 2
 
     def test_mod4_monic_quadratics(self):
-        q = EnumerationQuery(Modulus(4), 2, Mode.MONIC)
-        assert enumerate_count(q) == 8
+        assert enumerate_count(Modulus(4), 2, Mode.MONIC) == 8
 
     def test_z15_exact_degree_two(self):
-        q = EnumerationQuery(Modulus(15), 2, Mode.EXACT)
-        assert enumerate_count(q) == 1888
+        assert enumerate_count(Modulus(15), 2, Mode.EXACT) == 1888
 
     def test_budget_refusal_names_requirement(self):
-        q = EnumerationQuery(Modulus(120), 3, Mode.LEQ)
         with pytest.raises(BudgetExceeded) as e:
-            enumerate_count(q, budget=10**6)
+            enumerate_count(Modulus(120), 3, Mode.LEQ, budget=10**6)
         assert e.value.required == 120**4
 
     def test_space_sizes(self):
-        m = Modulus(6)
-        assert space_size(EnumerationQuery(m, 2, Mode.MONIC)) == 36
-        assert space_size(EnumerationQuery(m, 2, Mode.LEQ)) == 216
-        assert space_size(EnumerationQuery(m, 2, Mode.EXACT)) == 180
+        assert space_size(6, 2, Mode.MONIC) == 36
+        assert space_size(6, 2, Mode.LEQ) == 216
+        assert space_size(6, 2, Mode.EXACT) == 180
 
     def test_degree_zero_modes(self):
         m = Modulus(12)
-        assert enumerate_count(EnumerationQuery(m, 0, Mode.MONIC)) == 1
-        assert enumerate_count(EnumerationQuery(m, 0, Mode.EXACT)) == 4
-        assert enumerate_count(EnumerationQuery(m, 0, Mode.LEQ)) == 4
+        assert enumerate_count(m, 0, Mode.MONIC) == 1
+        assert enumerate_count(m, 0, Mode.EXACT) == 4
+        assert enumerate_count(m, 0, Mode.LEQ) == 4
 
 
 class TestDeterminismAndPartition:
     def test_worker_counts_agree(self):
-        q = EnumerationQuery(Modulus(6), 2, Mode.LEQ)
-        counts = {enumerate_count(q, workers=w) for w in (1, 2, 8)}
+        counts = {enumerate_count(Modulus(6), 2, Mode.LEQ, workers=w)
+                  for w in (1, 2, 8)}
         assert len(counts) == 1
 
     def test_partition_soundness(self):
-        q = EnumerationQuery(Modulus(10), 2, Mode.EXACT)
-        size = space_size(q)
+        size = space_size(10, 2, Mode.EXACT)
         whole = count_range(10, 2, Mode.EXACT, 0, size)
         for pieces in (3, 7, 11):
             bounds = [size * i // pieces for i in range(pieces + 1)]
@@ -101,22 +94,31 @@ class TestDeterminismAndPartition:
 
     def test_processes_capped_at_cpu_count(self, serial_pool, monkeypatch):
         # The pool forks max_workers processes at its first submit, so a
-        # large --workers must not reach it; the ranges still number
-        # `workers`.
-        q = EnumerationQuery(Modulus(6), 2, Mode.LEQ)
-        assert enumerate_count(q, workers=100000) == enumerate_count(q)
-        assert enumerate_count(q, workers=8) == enumerate_count(q)
+        # large --workers must not reach it; the space is split into as
+        # many ranges as there are processes.
+        def count(workers):
+            return enumerate_count(Modulus(6), 2, Mode.LEQ, workers=workers)
+
+        assert count(100000) == count(1)
+        assert count(8) == count(1)
         assert serial_pool.starts == [2, 2]
-        assert serial_pool.maps == [100000, 8]
+        assert serial_pool.maps == [2, 2]
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
-        enumerate_count(q, workers=3)
-        assert (serial_pool.starts[-1], serial_pool.maps[-1]) == (1, 3)
+        assert count(3) == count(1)  # one CPU: run serially
+        assert serial_pool.starts == [2, 2]
+
+    def test_huge_worker_count(self, serial_pool):
+        # No list of `workers` entries is built before the cap.
+        m = Modulus(30)
+        assert enumerate_count(m, 2, Mode.EXACT, workers=10**9) == \
+            enumerate_count(m, 2, Mode.EXACT)
+        assert (serial_pool.starts, serial_pool.maps) == ([2], [2])
 
     def test_verify_starts_one_pool(self, serial_pool):
         # Every query of one verify call maps its ranges on the same pool,
         # started only once a query runs on more than one worker.
         def results(reports):
-            return [(r.query, r.oracle_count, r.match, r.skipped)
+            return [(r.d, r.mode, r.oracle_count, r.match, r.skipped)
                     for r in reports]
 
         serial = verify(Modulus(5), 2)
@@ -134,13 +136,22 @@ class TestCrtProductCount:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_agrees_with_full_enumeration(self, n, d, mode):
         m = Modulus(n)
-        q = EnumerationQuery(m, d, mode)
-        assert crt_product_count(m, d, mode) == enumerate_count(q)
+        assert crt_product_count(m, d, mode) == enumerate_count(m, d, mode)
 
     def test_prime_modulus_is_plain_enumeration(self):
         m = Modulus(7)
-        q = EnumerationQuery(m, 2, Mode.LEQ)
-        assert crt_product_count(m, 2, Mode.LEQ) == enumerate_count(q)
+        assert crt_product_count(m, 2, Mode.LEQ) == \
+            enumerate_count(m, 2, Mode.LEQ)
+
+    def test_starts_one_pool(self, serial_pool):
+        # Three components, and two LEQ products for the exact mode: six
+        # walks, all on one pool.
+        m = Modulus(30)
+        serial = crt_product_count(m, 2, Mode.EXACT)
+        assert serial_pool.starts == []
+        assert crt_product_count(m, 2, Mode.EXACT, workers=2) == serial
+        assert serial_pool.starts == [2]
+        assert serial_pool.maps == [2] * 6
 
     def test_z120_within_tiny_budget(self):
         # 8^4 + 3^4 + 5^4 = 4802 tests; the full ring would need 120^4
@@ -159,14 +170,12 @@ class TestVerify:
 
     def test_z4_monic_counts(self):
         reports = verify(Modulus(4), 3)
-        monic = {r.query.degree_bound: r.oracle_count
-                 for r in reports if r.query.mode is Mode.MONIC}
+        monic = {r.d: r.oracle_count for r in reports if r.mode is Mode.MONIC}
         assert monic[1] == 4 and monic[2] == 8 and monic[3] == 32
 
     def test_z9_leq_degree_one(self):
         reports = verify(Modulus(9), 1)
-        leq = {r.query.degree_bound: r for r in reports
-               if r.query.mode is Mode.LEQ}
+        leq = {r.d: r for r in reports if r.mode is Mode.LEQ}
         assert leq[1].oracle_count == 72
         assert leq[1].formula_count == census.count_separable_leq(Modulus(9), 1)
         assert leq[1].match
@@ -183,7 +192,7 @@ class TestVerify:
 class TestNegativeDegree:
     def test_query_rejects_negative_degree(self):
         with pytest.raises(DomainError):
-            EnumerationQuery(Modulus(6), -1, Mode.LEQ)
+            enumerate_count(Modulus(6), -1, Mode.LEQ)
 
     def test_count_range_rejects_negative_degree(self):
         with pytest.raises(DomainError):
@@ -222,11 +231,9 @@ def reference_count(n, d, mode, lo, hi):
 def queries(draw):
     n = draw(MODULI)
     mode = draw(st.sampled_from(list(Mode)))
-    d_max = max(d for d in range(4)
-                if space_size(EnumerationQuery(Modulus(n), d, mode))
-                <= SPACE_CAP)
+    d_max = max(d for d in range(4) if space_size(n, d, mode) <= SPACE_CAP)
     d = draw(st.integers(min_value=0, max_value=d_max))
-    return n, d, mode, space_size(EnumerationQuery(Modulus(n), d, mode))
+    return n, d, mode, space_size(n, d, mode)
 
 
 class TestWalkProperties:
