@@ -1,36 +1,38 @@
-"""Brute-force enumeration of separable polynomials over Z/n.
+"""Brute-force enumeration of separable polynomials over Z/n, the ground
+truth the census formulas are verified against.
 
-The ground truth the census formulas are verified against.  A polynomial
-over Z/n is separable exactly when its reduction mod every prime p | n is
-separable over the field Z/p; the oracle runs that test (the mod-p gcd
-kernel of septest.is_separable) on every coefficient tuple of the queried
-set, memoized on the reduced tuples, and uses no counting formula: of
-census.count it reads only the size of the set.
+A polynomial over Z/n is separable exactly when its reduction mod every
+prime p | n is, and over the perfect field Z/p one of degree >= 1 is
+separable exactly when no g^2 divides it, g monic of degree >= 1 (the
+squarefree criterion Carlitz counts).  So the verdicts mod p come from a
+square sieve: a table of one byte per reduced tuple, all 1 but the zero
+polynomial, in which every product g^2 h is marked 0.  No gcd is run and no
+counting formula is used: of census.count the oracle reads only set sizes.
 
-The space is walked by a mixed-radix odometer whose digit i is coefficient
-i, coefficient 0 fastest, so index t names the same tuple in every walk and
-every split.  For each prime p | n the odometer also carries the index of
-the current tuple reduced mod p.  For p < n that index addresses a verdict
-table of p^D bytes (D free digits: d for monic, d + 1 otherwise), filled
-lazily: an entry is computed by the gcd kernel the first time its reduced
-tuple comes up, then read back for every tuple with that reduction.  When
-p == n every reduced tuple is distinct, so no table is built and each
-verdict is computed directly.  The distinct primes of a composite n sum to
-at most n - 1, so the tables together hold no more bytes than the space has
-tuples (at D = 0, one byte per prime): the budget bounds memory as well as
-time.  Digit 0 is stepped a row at a time: the row's verdicts for each
-prime are its table slice tiled across the row, and a tuple is counted
-where every prime's verdict is 1.
+A table is indexed by sum (c_i mod p) p^i over the free coefficients: p^d
+entries for the monic tuples of degree d (the lead is implied), p^(d + 1)
+for every tuple of degree <= d, the exact-degree ones from p^d on.  For
+prime n each tuple is its own reduction, so a count over indices [lo, hi) is
+the number of ones in one table slice, and only that slice (hi - lo bytes)
+is built.
 
-The space is split into contiguous index ranges for parallel workers, each
-building its own tables; the reduction is a plain sum, so worker count and
-partition order cannot affect results.
+For composite n a mixed-radix odometer walks the space, digit i being
+coefficient i, coefficient 0 fastest, so index t names the same tuple in
+every walk and every split.  For each prime p | n it carries the table index
+of the current tuple reduced mod p.  The distinct primes of a composite n
+sum to at most n - 1, so the tables together hold no more bytes than the
+space has tuples: the budget bounds memory as well as time.  Digit 0 is
+stepped a row at a time: each prime's row verdicts are its table slice tiled
+across the row, and a tuple counts where every prime's verdict is 1.  Ranges
+of the space run on parallel workers, each sieving its own tables, and
+their counts are summed.  A prime modulus is counted in the calling
+process, since each worker would sieve the whole table again.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +43,6 @@ from .arith import DomainError, Modulus
 from .census import Mode
 # Not called here; perfbench/spans.py wraps oracle.PolyZn to count calls.
 from .poly import PolyZn  # noqa: F401
-from .septest import _separable_coeffs_mod_p
 
 DEFAULT_BUDGET = 10**8
 
@@ -56,51 +57,79 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
-_UNKNOWN = 2  # a verdict-table entry not yet computed; verdicts are 0 or 1
+def _sieve(p: int, d: int, monic: bool, lo: int = 0,
+           hi: int | None = None) -> bytearray:
+    """Separability over Z/p of the tuples with table indices [lo, hi) (by
+    default the whole table), one byte each: the monic tuples of degree d,
+    or every tuple of degree <= d."""
+    place = [p**i for i in range(d + 1)]
+    hi = (place[d] if monic else place[d] * p) if hi is None else hi
+    table = bytearray(b"\1") * max(hi - lo, 0)
+    if not monic and lo == 0 < hi:
+        table[0] = 0  # the zero polynomial
+    # f is marked at sum f_i p^i - base: a monic lead is not in the index.
+    base, size = lo + (place[d] if monic else 0), len(table)
+    for e in range(1, d // 2 + 1):
+        free = d - 2 * e + (0 if monic else 1)  # the free coefficients of h
+        for low in itertools.product(range(p), repeat=e):
+            g = (*low, 1)
+            s = [sum(g[i] * g[k - i] for i in range(max(0, k - e),
+                                                     min(k, e) + 1)) % p
+                 for k in range(2 * e + 1)]  # g^2
+            # Where h_0 .. h_(j-1) wrap to 0 and h_j goes up, f gains x^i g^2
+            # for each i <= j: f_k moves by c, the index by c p^k (or by
+            # (c - p) p^k where f_k wraps).
+            moves = [[(i + k, c, c * place[i + k], (c - p) * place[i + k])
+                      for i in range(j + 1) for k, c in enumerate(s) if c]
+                     for j in range(free)]
+            f = [0] * free + s if monic else [0] * (d + 1)  # h = x^free or 0
+            t = sum(c * q for c, q in zip(f, place)) - base
+            if 0 <= t < size:
+                table[t] = 0
+            for step in range(1, p**free):  # the next h in index order
+                q, j = step, 0
+                while q % p == 0:  # h_0 .. h_(j-1) wrapped to 0
+                    q, j = q // p, j + 1
+                for k, c, up, down in moves[j]:
+                    v = f[k] + c
+                    if v < p:
+                        f[k], t = v, t + up
+                    else:
+                        f[k], t = v - p, t + down
+                if 0 <= t < size:
+                    table[t] = 0
+    return table
 
 
 class _PrimeWalk:
-    """One prime p | n along the walk: its verdict table (None when p == n)
-    and the table index of the current row, the digits above digit 0
-    reduced mod p."""
+    """One prime p | n, p < n, along the walk: its verdict table and the
+    table index of the row, the digits above digit 0 reduced mod p."""
 
-    __slots__ = ("p", "widths", "places", "reps", "key", "table")
+    __slots__ = ("p", "places", "width", "shift", "reps", "key", "table")
 
-    def __init__(self, p: int, n: int, radix: list[int], offsets: list[int]):
-        self.p = p
-        # A digit's verdict depends on its offset only mod its width.
-        self.widths = [min(p, r) for r in radix]
-        self.places = [math.prod(self.widths[:i]) for i in range(len(radix))]
-        self.reps = -(-radix[0] // self.widths[0])
-        self.key = sum((j % w) * s for j, w, s in
-                       zip(offsets[1:], self.widths[1:], self.places[1:]))
-        self.table = (bytearray([_UNKNOWN]) * math.prod(self.widths)
-                      if p < n else None)
+    def __init__(self, p: int, d: int, monic: bool, first0: int,
+                 radix0: int, coeffs: list[int]):
+        self.p, self.table = p, _sieve(p, d, monic)
+        # Coefficient i adds (c_i mod p) p^i to the index; a monic lead, 0.
+        self.places = [p**i for i in range(d)] + [0 if monic else p**d]
+        self.key = sum(c % p * s for c, s in zip(coeffs[1:], self.places[1:]))
+        # Digit 0 at offset j holds first0 + j: its verdict is entry
+        # shift + j of the row's table slice, tiled.
+        self.width = w = min(p, len(self.table))
+        self.shift = first0 % w
+        self.reps = -(-(self.shift + radix0) // w)
 
     def step(self, i: int, old: int, new: int):
-        """Digit i >= 1 moved from offset old to offset new."""
-        w = self.widths[i]
-        self.key += (new % w - old % w) * self.places[i]
+        """Coefficient i >= 1 moved from value old to value new."""
+        p = self.p
+        self.key += (new % p - old % p) * self.places[i]
 
-    def row(self, coeffs: list[int], first: int, a: int, b: int) -> int:
+    def row(self, a: int, b: int) -> int:
         """Verdicts mod p of the row's tuples whose digit 0 has offsets
         a..b-1, as the bytes of an int, low byte first."""
-        p, table = self.p, self.table
-        if table is None:
-            verdicts = bytearray(b - a)
-            for j in range(a, b):
-                coeffs[0] = first + j
-                verdicts[j - a] = _separable_coeffs_mod_p(coeffs, p)
-            return int.from_bytes(verdicts, "little")
-        w, k = self.widths[0], self.key
-        seg = table[k:k + w]
-        if _UNKNOWN in seg:
-            for j in range(a, min(b, a + w)):
-                r = j % w
-                if seg[r] == _UNKNOWN:
-                    coeffs[0] = first + j
-                    seg[r] = table[k + r] = _separable_coeffs_mod_p(coeffs, p)
-        return int.from_bytes((seg * self.reps)[a:b], "little")
+        k, s = self.key, self.shift
+        seg = self.table[k:k + self.width]
+        return int.from_bytes((seg * self.reps)[s + a:s + b], "little")
 
 
 def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
@@ -108,6 +137,13 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
     mode = Mode(mode)
+    monic = mode is Mode.MONIC
+    factors = Modulus(n).factors
+    if factors == ((n, 1),):
+        # Over the field Z/n the space is a part of one table: the exact
+        # set starts at index n^d.
+        base = n**d if mode is Mode.EXACT else 0
+        return _sieve(n, d, monic, base + lo, base + hi).count(1)
     # Coefficient i is first[i] + offset, offset in range(radix[i]); the
     # leading one is fixed at 1 (monic), nonzero (exact) or free (leq).
     lead = {Mode.MONIC: (1, 1), Mode.EXACT: (1, n - 1), Mode.LEQ: (0, n)}
@@ -118,33 +154,34 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
         t, j = divmod(t, r)
         offsets.append(j)
     coeffs = [f + j for f, j in zip(first, offsets)]
-    primes = [_PrimeWalk(p, n, radix, offsets) for p, _ in Modulus(n).factors]
+    primes = [_PrimeWalk(p, d, monic, first[0], radix[0], coeffs)
+              for p, _ in factors]
     count, t = 0, lo
     while t < hi:
         a = offsets[0]
         b = min(radix[0], a + hi - t)
         bits = -1
         for walk in primes:
-            bits &= walk.row(coeffs, first[0], a, b)
+            bits &= walk.row(a, b)
         count += bits.bit_count()
         t += b - a
         offsets[0] = 0
         for i in range(1, len(radix)):
-            old = offsets[i]
-            new = offsets[i] = (old + 1) % radix[i]
-            coeffs[i] = first[i] + new
+            old = coeffs[i]
+            j = offsets[i] = (offsets[i] + 1) % radix[i]
+            new = coeffs[i] = first[i] + j
             for walk in primes:
                 walk.step(i, old, new)
-            if new:
+            if j:
                 break
     return count
 
 
 class _Pool(contextlib.ExitStack):
     """The process pool for one command.  Its workers are capped at one
-    per CPU; each query's space is split into that many index ranges, and
-    the pool is started at the first split and shut down when the command
-    leaves it."""
+    per CPU; each walk over a composite modulus is split into that many
+    index ranges, and the pool is started at the first split and shut down
+    when the command leaves it."""
 
     def __init__(self, workers: int):
         super().__init__()
@@ -156,8 +193,13 @@ class _Pool(contextlib.ExitStack):
         size = census.count(m, d, mode).total  # the size, not the count
         if size > budget:
             raise BudgetExceeded(size, budget)
+        return self.walk(m, d, mode, size)
+
+    def walk(self, m: Modulus, d: int, mode: Mode, size: int) -> int:
+        """Count the query's space of `size` tuples; a prime modulus here,
+        since each worker would sieve its whole table again."""
         n, w = m.n, self.workers
-        if w <= 1:
+        if w <= 1 or m.factors == ((n, 1),):
             return count_range(n, d, mode, 0, size)
         if self._executor is None:
             self._executor = self.enter_context(
@@ -231,14 +273,12 @@ def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
     with _Pool(workers) as pool:
         for d in range(d_max + 1):
             for mode in Mode:
-                formula = census.count(m, d, mode).count
+                result = census.count(m, d, mode)
                 start = time.perf_counter()
-                try:
-                    oracle = pool.count(m, d, mode, budget)
-                except BudgetExceeded:
-                    oracle = None
+                oracle = (pool.walk(m, d, mode, result.total)
+                          if result.total <= budget else None)
                 reports.append(VerificationReport(
-                    d, mode, oracle, formula,
-                    None if oracle is None else oracle == formula,
+                    d, mode, oracle, result.count,
+                    None if oracle is None else oracle == result.count,
                     time.perf_counter() - start, skipped=oracle is None))
     return reports

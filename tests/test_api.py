@@ -1,4 +1,8 @@
+import ast
+from pathlib import Path
+
 import sepzn
+from sepzn import oracle
 
 PUBLIC = [
     "BudgetExceeded", "CountResult", "DomainError", "Mode", "Modulus",
@@ -20,3 +24,17 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in sepzn.__all__:
         assert getattr(sepzn, name) is not None
+
+
+def test_oracle_shares_no_code_with_septest():
+    # The oracle's sieve, the trace-form determinant and the gcd route are
+    # three routes to separability that share no code (criterion 8).
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("septest" in name for name in names), names

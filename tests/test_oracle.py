@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import types
 
 import pytest
@@ -16,7 +17,7 @@ from sepzn.oracle import (
     verify,
 )
 from sepzn.poly import PolyZn
-from sepzn.septest import is_separable
+from sepzn.septest import _separable_coeffs_mod_p, is_separable
 
 
 @pytest.fixture
@@ -121,13 +122,26 @@ class TestDeterminismAndPartition:
             return [(r.d, r.mode, r.oracle_count, r.match, r.skipped)
                     for r in reports]
 
-        serial = verify(Modulus(5), 2)
+        serial = verify(Modulus(6), 2)
         assert serial_pool.starts == []
-        assert results(verify(Modulus(5), 2, workers=2)) == results(serial)
+        assert results(verify(Modulus(6), 2, workers=2)) == results(serial)
         assert serial_pool.starts == [2]
         assert serial_pool.maps == [2] * 9  # 3 degrees x 3 modes
-        verify(Modulus(5), 2, budget=0, workers=2)  # every query skipped
+        verify(Modulus(6), 2, budget=0, workers=2)  # every query skipped
         assert serial_pool.starts == [2]
+
+    def test_prime_modulus_starts_no_pool(self, serial_pool):
+        # Each worker would sieve the whole table again, so a prime modulus
+        # is counted in-process at any worker count.
+        m = Modulus(5)
+        for mode in Mode:
+            assert enumerate_count(m, 3, mode, workers=2) == \
+                enumerate_count(m, 3, mode)
+        assert [r.oracle_count for r in verify(m, 2, workers=2)] == \
+            [r.oracle_count for r in verify(m, 2)]
+        assert crt_product_count(Modulus(30), 2, Mode.EXACT, workers=2) == \
+            crt_product_count(Modulus(30), 2, Mode.EXACT)
+        assert serial_pool.starts == []
 
 
 class TestCrtProductCount:
@@ -144,14 +158,14 @@ class TestCrtProductCount:
             enumerate_count(m, 2, Mode.LEQ)
 
     def test_starts_one_pool(self, serial_pool):
-        # Three components, and two LEQ products for the exact mode: six
-        # walks, all on one pool.
-        m = Modulus(30)
+        # Two prime-power components, and two LEQ products for the exact
+        # mode: four walks, all on one pool.
+        m = Modulus(36)
         serial = crt_product_count(m, 2, Mode.EXACT)
         assert serial_pool.starts == []
         assert crt_product_count(m, 2, Mode.EXACT, workers=2) == serial
         assert serial_pool.starts == [2]
-        assert serial_pool.maps == [2] * 6
+        assert serial_pool.maps == [2] * 4
 
     def test_z120_within_tiny_budget(self):
         # 8^4 + 3^4 + 5^4 = 4802 tests; the full ring would need 120^4
@@ -180,6 +194,22 @@ class TestVerify:
         assert leq[1].formula_count == census.count_separable_leq(Modulus(9), 1)
         assert leq[1].match
 
+    def test_counts_each_query_once(self, monkeypatch):
+        # One census.count per query plus the up-front check of the largest
+        # set, and a skipped query builds no BudgetExceeded (whose message
+        # would print the set size).
+        calls, refusals = [], []
+        count = census.count
+        monkeypatch.setattr(census, "count",
+                            lambda *args: calls.append(args) or count(*args))
+        monkeypatch.setattr(oracle, "BudgetExceeded",
+                            lambda *args: refusals.append(args))
+        reports = verify(Modulus(2), 40, budget=10)
+        assert len(calls) == 3 * 41 + 1
+        assert refusals == []
+        assert any(r.skipped for r in reports)
+        assert all(r.match for r in reports if not r.skipped)
+
     def test_budget_exceeded_marks_skipped(self):
         reports = verify(Modulus(6), 2, budget=100)
         skipped = [r for r in reports if r.skipped]
@@ -203,8 +233,8 @@ class TestNegativeDegree:
             verify(Modulus(6), -1)
 
 
-# Primes, prime powers and composites, so the walk runs with no verdict
-# table (p == n), with one table (n = p^k) and with several.
+# Primes, prime powers and composites, so the count runs on one table slice
+# (p == n), and the walk on one table (n = p^k) and on several.
 MODULI = st.one_of(
     st.sampled_from([2, 3, 5, 7, 11, 13, 29, 53, 59]),
     st.sampled_from([4, 8, 9, 25, 27, 49, 32]),
@@ -257,3 +287,82 @@ class TestWalkProperties:
         parts = [count_range(n, d, mode, lo, hi)
                  for lo, hi in zip(bounds, bounds[1:])]
         assert sum(parts) == count_range(n, d, mode, 0, size)
+
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+# Table entries a drawn window compares with the gcd kernel.
+WINDOW = 2000
+
+
+def kernel_table(p, d, monic, lo, hi):
+    """Verdicts of septest's gcd kernel for the sieve's table indices
+    [lo, hi): digit i of the index in base p is coefficient i, and a monic
+    table implies the leading 1."""
+    free = d if monic else d + 1
+    return bytearray(
+        _separable_coeffs_mod_p(
+            [t // p**i % p for i in range(free)] + [1] * monic, p)
+        for t in range(lo, hi))
+
+
+@st.composite
+def tables(draw):
+    p = draw(st.sampled_from(PRIMES))
+    monic = draw(st.booleans())
+    d = draw(st.integers(min_value=0, max_value=5 if monic else 4))
+    return p, d, monic, p ** (d if monic else d + 1)
+
+
+class TestSieve:
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("monic", [True, False])
+    def test_small_tables_match_gcd_kernel(self, p, monic):
+        # Every table of at most 20000 entries, whole.
+        for d in range(6):
+            size = p ** (d if monic else d + 1)
+            if size <= 20000:
+                assert oracle._sieve(p, d, monic) == \
+                    kernel_table(p, d, monic, 0, size)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tables(), st.data())
+    def test_sieve_matches_gcd_kernel(self, table, data):
+        # p <= 13 with up to 5 free coefficients, monic or not: a window of
+        # the whole table, and the same window sieved alone.
+        p, d, monic, size = table
+        lo = data.draw(st.integers(min_value=0, max_value=size))
+        hi = data.draw(st.integers(min_value=lo,
+                                   max_value=min(size, lo + WINDOW)))
+        whole = oracle._sieve(p, d, monic)
+        assert len(whole) == size
+        assert whole[lo:hi] == kernel_table(p, d, monic, lo, hi)
+        assert oracle._sieve(p, d, monic, lo, hi) == whole[lo:hi]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(PRIMES), st.sampled_from(list(Mode)), st.data())
+    def test_prime_count_is_one_slice(self, p, mode, data):
+        # The space of each mode sits at its own base in the table (the
+        # exact set from p^d on); any range counts as the reference does.
+        d_max = max(d for d in range(6) if space_size(p, d, mode) <= SPACE_CAP)
+        d = data.draw(st.integers(min_value=0, max_value=d_max))
+        size = space_size(p, d, mode)
+        lo = data.draw(st.integers(min_value=0, max_value=size))
+        hi = data.draw(st.integers(min_value=lo,
+                                   max_value=min(size, lo + 400)))
+        assert count_range(p, d, mode, lo, hi) == reference_count(
+            p, d, mode, lo, hi)
+
+    @pytest.mark.parametrize("mode, d, size", [(Mode.LEQ, 5, 11**6),
+                                               (Mode.EXACT, 4, 10 * 11**4)])
+    def test_prime_count_holds_one_slice(self, mode, d, size):
+        # A prime modulus builds only the slice it counts (the exact set
+        # without the lower degrees): the budget bounds memory as well as
+        # time.
+        tracemalloc.start()
+        try:
+            count = count_range(11, d, mode, 0, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == census.count(Modulus(11), d, mode).count
+        assert peak <= size + 64 * 1024
