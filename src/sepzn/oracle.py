@@ -1,38 +1,35 @@
 """Brute-force enumeration of separable polynomials over Z/n, the ground
-truth the census formulas are verified against.
+truth the census formulas are verified against: of census.count it reads
+only set sizes.
 
 A polynomial over Z/n is separable exactly when its reduction mod every
-prime p | n is, and over the perfect field Z/p one of degree >= 1 is
-separable exactly when no g^2 divides it, g monic of degree >= 1 (the
-squarefree criterion Carlitz counts).  So the verdicts mod p come from a
-square sieve: a table of one byte per reduced tuple, all 1 but the zero
-polynomial, in which every product g^2 h is marked 0.  No gcd is run and no
-counting formula is used: of census.count the oracle reads only set sizes.
+prime p | n is, and over the field Z/p one of degree >= 1 is separable
+exactly when no g^2 divides it, g monic of degree >= 1 (the squarefree
+criterion Carlitz counts).  So the verdicts mod p come from a square sieve,
+with no gcd: one byte per reduced tuple, all 1 but the zero polynomial, and
+every product g^2 h marked 0.  A table is indexed by sum (c_i mod p) p^i
+over the free coefficients: p^d entries for the monic tuples of degree d,
+p^(d + 1) for every tuple of degree <= d, the exact-degree ones from p^d on.
 
-A table is indexed by sum (c_i mod p) p^i over the free coefficients: p^d
-entries for the monic tuples of degree d (the lead is implied), p^(d + 1)
-for every tuple of degree <= d, the exact-degree ones from p^d on.  For
-prime n each tuple is its own reduction, so a count over indices [lo, hi) is
-the number of ones in one table slice, and only that slice (hi - lo bytes)
-is built.
-
-For composite n a mixed-radix odometer walks the space, digit i being
+For prime n a count over indices [lo, hi) is the number of ones in one table
+slice, and only that slice (hi - lo bytes) is built; the sieve skips the
+blocks of products that miss it, so its work follows the slice too.  For
+composite n a mixed-radix odometer walks the space, digit i being
 coefficient i, coefficient 0 fastest, so index t names the same tuple in
-every walk and every split.  For each prime p | n it carries the table index
-of the current tuple reduced mod p.  The distinct primes of a composite n
-sum to at most n - 1, so the tables together hold no more bytes than the
-space has tuples: the budget bounds memory as well as time.  Digit 0 is
-stepped a row at a time: each prime's row verdicts are its table slice tiled
-across the row, and a tuple counts where every prime's verdict is 1.  Ranges
-of the space run on parallel workers, each sieving its own tables, and
-their counts are summed.  A prime modulus is counted in the calling
-process, since each worker would sieve the whole table again.
+every walk and split; for each prime p | n it carries the table index of
+the tuple reduced mod p.  The distinct primes of a composite n sum to at
+most n - 1, so the tables hold no more bytes than the space has tuples: the
+budget bounds memory as well as time.  Digit 0 is stepped a row at a time:
+each prime's row verdicts are its table slice tiled across the row, and a
+tuple counts where every verdict is 1.  Ranges of the space run on parallel
+workers, each sieving its own tables, and their counts are summed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -53,15 +50,14 @@ class BudgetExceeded(Exception):
     def __init__(self, required: int, budget: int):
         super().__init__(
             f"enumeration needs {required} tests, budget is {budget}")
-        self.required = required
-        self.budget = budget
+        self.required, self.budget = required, budget
 
 
 def _sieve(p: int, d: int, monic: bool, lo: int = 0,
            hi: int | None = None) -> bytearray:
     """Separability over Z/p of the tuples with table indices [lo, hi) (by
     default the whole table), one byte each: the monic tuples of degree d,
-    or every tuple of degree <= d."""
+    or every tuple of degree <= d.  The work follows hi - lo."""
     place = [p**i for i in range(d + 1)]
     hi = (place[d] if monic else place[d] * p) if hi is None else hi
     table = bytearray(b"\1") * max(hi - lo, 0)
@@ -71,33 +67,43 @@ def _sieve(p: int, d: int, monic: bool, lo: int = 0,
     base, size = lo + (place[d] if monic else 0), len(table)
     for e in range(1, d // 2 + 1):
         free = d - 2 * e + (0 if monic else 1)  # the free coefficients of h
+        # Fixing the top u of them fixes the top u index digits of f = g^2 h:
+        # a block, skipped if it misses [lo, hi), in which an odometer over
+        # the other free - u visits every product (u <= free / 2).
+        u, block = 0, place[d] * (1 if monic else p)
+        while u < free // 2 and block > size:
+            u, block = u + 1, block // p
         for low in itertools.product(range(p), repeat=e):
             g = (*low, 1)
             s = [sum(g[i] * g[k - i] for i in range(max(0, k - e),
                                                      min(k, e) + 1)) % p
                  for k in range(2 * e + 1)]  # g^2
-            # Where h_0 .. h_(j-1) wrap to 0 and h_j goes up, f gains x^i g^2
-            # for each i <= j: f_k moves by c, the index by c p^k (or by
-            # (c - p) p^k where f_k wraps).
+            # Where h_0 .. h_(j-1) wrap to 0 and h_j goes up, f gains x^i g^2,
+            # i <= j: f_k moves by c, the index by c p^k ((c - p) p^k on wrap).
             moves = [[(i + k, c, c * place[i + k], (c - p) * place[i + k])
                       for i in range(j + 1) for k, c in enumerate(s) if c]
-                     for j in range(free)]
-            f = [0] * free + s if monic else [0] * (d + 1)  # h = x^free or 0
-            t = sum(c * q for c, q in zip(f, place)) - base
-            if 0 <= t < size:
-                table[t] = 0
-            for step in range(1, p**free):  # the next h in index order
-                q, j = step, 0
-                while q % p == 0:  # h_0 .. h_(j-1) wrapped to 0
-                    q, j = q // p, j + 1
-                for k, c, up, down in moves[j]:
-                    v = f[k] + c
-                    if v < p:
-                        f[k], t = v, t + up
-                    else:
-                        f[k], t = v - p, t + down
+                     for j in range(free - u)]
+            for top in itertools.product(range(p), repeat=u):
+                h = [0] * (free - u) + [*top] + [1] * monic
+                f = [sum(c * h[i - j] for j, c in enumerate(s)
+                         if 0 <= i - j < len(h)) % p for i in range(d + 1)]
+                t = sum(c * q for c, q in zip(f, place)) - base
+                if not -block < t - (t + base) % block < size:
+                    continue  # its block misses [lo, hi)
                 if 0 <= t < size:
                     table[t] = 0
+                for step in range(1, p**(free - u)):  # the next h in order
+                    q, j = step, 0
+                    while q % p == 0:  # h_0 .. h_(j-1) wrapped to 0
+                        q, j = q // p, j + 1
+                    for i, c, up, down in moves[j]:
+                        v = f[i] + c
+                        if v < p:
+                            f[i], t = v, t + up
+                        else:
+                            f[i], t = v - p, t + down
+                    if 0 <= t < size:
+                        table[t] = 0
     return table
 
 
@@ -121,8 +127,7 @@ class _PrimeWalk:
 
     def step(self, i: int, old: int, new: int):
         """Coefficient i >= 1 moved from value old to value new."""
-        p = self.p
-        self.key += (new % p - old % p) * self.places[i]
+        self.key += (new % self.p - old % self.p) * self.places[i]
 
     def row(self, a: int, b: int) -> int:
         """Verdicts mod p of the row's tuples whose digit 0 has offsets
@@ -140,8 +145,7 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
     monic = mode is Mode.MONIC
     factors = Modulus(n).factors
     if factors == ((n, 1),):
-        # Over the field Z/n the space is a part of one table: the exact
-        # set starts at index n^d.
+        # One table over the field Z/n; the exact set from index n^d on.
         base = n**d if mode is Mode.EXACT else 0
         return _sieve(n, d, monic, base + lo, base + hi).count(1)
     # Coefficient i is first[i] + offset, offset in range(radix[i]); the
@@ -179,9 +183,9 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
 
 class _Pool(contextlib.ExitStack):
     """The process pool for one command.  Its workers are capped at one
-    per CPU; each walk over a composite modulus is split into that many
-    index ranges, and the pool is started at the first split and shut down
-    when the command leaves it."""
+    per CPU; each query's space is split into that many index ranges, and
+    the pool is started at the first split and shut down when the command
+    leaves it."""
 
     def __init__(self, workers: int):
         super().__init__()
@@ -196,10 +200,9 @@ class _Pool(contextlib.ExitStack):
         return self.walk(m, d, mode, size)
 
     def walk(self, m: Modulus, d: int, mode: Mode, size: int) -> int:
-        """Count the query's space of `size` tuples; a prime modulus here,
-        since each worker would sieve its whole table again."""
+        """Count the query's space of `size` tuples."""
         n, w = m.n, self.workers
-        if w <= 1 or m.factors == ((n, 1),):
+        if w <= 1:
             return count_range(n, d, mode, 0, size)
         if self._executor is None:
             self._executor = self.enter_context(
@@ -212,10 +215,8 @@ class _Pool(contextlib.ExitStack):
 def enumerate_count(m: Modulus, d: int, mode: Mode,
                     budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
     """Exact count of separable polynomials in the set census.count(m, d,
-    mode) sizes.
-
-    With workers > 1 the set is split into index ranges run on at most
-    one process per CPU."""
+    mode) sizes; with workers > 1 its index ranges run on at most one
+    process per CPU."""
     with _Pool(workers) as pool:
         return pool.count(m, d, mode, budget)
 
@@ -235,10 +236,8 @@ def crt_product_count(m: Modulus, d: int, mode: Mode,
     mode = Mode(mode)
     with _Pool(workers) as pool:
         def product(d: int, mode: Mode) -> int:
-            result = 1
-            for p, k in m.factors:
-                result *= pool.count(Modulus(p**k), d, mode, budget)
-            return result
+            return math.prod(pool.count(Modulus(p**k), d, mode, budget)
+                             for p, k in m.factors)
 
         if mode is Mode.EXACT and d >= 1:
             return product(d, Mode.LEQ) - product(d - 1, Mode.LEQ)

@@ -122,26 +122,13 @@ class TestDeterminismAndPartition:
             return [(r.d, r.mode, r.oracle_count, r.match, r.skipped)
                     for r in reports]
 
-        serial = verify(Modulus(6), 2)
+        serial = verify(Modulus(5), 2)
         assert serial_pool.starts == []
-        assert results(verify(Modulus(6), 2, workers=2)) == results(serial)
+        assert results(verify(Modulus(5), 2, workers=2)) == results(serial)
         assert serial_pool.starts == [2]
         assert serial_pool.maps == [2] * 9  # 3 degrees x 3 modes
-        verify(Modulus(6), 2, budget=0, workers=2)  # every query skipped
+        verify(Modulus(5), 2, budget=0, workers=2)  # every query skipped
         assert serial_pool.starts == [2]
-
-    def test_prime_modulus_starts_no_pool(self, serial_pool):
-        # Each worker would sieve the whole table again, so a prime modulus
-        # is counted in-process at any worker count.
-        m = Modulus(5)
-        for mode in Mode:
-            assert enumerate_count(m, 3, mode, workers=2) == \
-                enumerate_count(m, 3, mode)
-        assert [r.oracle_count for r in verify(m, 2, workers=2)] == \
-            [r.oracle_count for r in verify(m, 2)]
-        assert crt_product_count(Modulus(30), 2, Mode.EXACT, workers=2) == \
-            crt_product_count(Modulus(30), 2, Mode.EXACT)
-        assert serial_pool.starts == []
 
 
 class TestCrtProductCount:
@@ -158,14 +145,14 @@ class TestCrtProductCount:
             enumerate_count(m, 2, Mode.LEQ)
 
     def test_starts_one_pool(self, serial_pool):
-        # Two prime-power components, and two LEQ products for the exact
-        # mode: four walks, all on one pool.
-        m = Modulus(36)
+        # Three components, and two LEQ products for the exact mode: six
+        # walks, all on one pool.
+        m = Modulus(30)
         serial = crt_product_count(m, 2, Mode.EXACT)
         assert serial_pool.starts == []
         assert crt_product_count(m, 2, Mode.EXACT, workers=2) == serial
         assert serial_pool.starts == [2]
-        assert serial_pool.maps == [2] * 4
+        assert serial_pool.maps == [2] * 6
 
     def test_z120_within_tiny_budget(self):
         # 8^4 + 3^4 + 5^4 = 4802 tests; the full ring would need 120^4
@@ -290,19 +277,17 @@ class TestWalkProperties:
 
 
 PRIMES = [2, 3, 5, 7, 11, 13]
-# Table entries a drawn window compares with the gcd kernel.
-WINDOW = 2000
 
 
-def kernel_table(p, d, monic, lo, hi):
-    """Verdicts of septest's gcd kernel for the sieve's table indices
-    [lo, hi): digit i of the index in base p is coefficient i, and a monic
-    table implies the leading 1."""
+def kernel_table(p, d, monic):
+    """Verdicts of septest's gcd kernel in the sieve's table order: digit i
+    of the index in base p is coefficient i, and a monic table implies the
+    leading 1."""
     free = d if monic else d + 1
     return bytearray(
         _separable_coeffs_mod_p(
             [t // p**i % p for i in range(free)] + [1] * monic, p)
-        for t in range(lo, hi))
+        for t in range(p**free))
 
 
 @st.composite
@@ -316,26 +301,22 @@ def tables(draw):
 class TestSieve:
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("monic", [True, False])
-    def test_small_tables_match_gcd_kernel(self, p, monic):
-        # Every table of at most 20000 entries, whole.
-        for d in range(6):
-            size = p ** (d if monic else d + 1)
-            if size <= 20000:
-                assert oracle._sieve(p, d, monic) == \
-                    kernel_table(p, d, monic, 0, size)
+    def test_tables_match_gcd_kernel(self, p, monic):
+        # Every entry of every table with at most 5 free coefficients.
+        for d in range(6 if monic else 5):
+            assert oracle._sieve(p, d, monic) == kernel_table(p, d, monic)
 
     @settings(max_examples=80, deadline=None)
     @given(tables(), st.data())
-    def test_sieve_matches_gcd_kernel(self, table, data):
-        # p <= 13 with up to 5 free coefficients, monic or not: a window of
-        # the whole table, and the same window sieved alone.
+    def test_window_matches_whole_table(self, table, data):
+        # p <= 13 with up to 5 free coefficients, monic or not: a window
+        # sieved alone skips the blocks of products that miss it, and
+        # marks what the whole table marks.
         p, d, monic, size = table
         lo = data.draw(st.integers(min_value=0, max_value=size))
-        hi = data.draw(st.integers(min_value=lo,
-                                   max_value=min(size, lo + WINDOW)))
+        hi = data.draw(st.integers(min_value=lo, max_value=size))
         whole = oracle._sieve(p, d, monic)
         assert len(whole) == size
-        assert whole[lo:hi] == kernel_table(p, d, monic, lo, hi)
         assert oracle._sieve(p, d, monic, lo, hi) == whole[lo:hi]
 
     @settings(max_examples=100, deadline=None)
@@ -352,17 +333,17 @@ class TestSieve:
         assert count_range(p, d, mode, lo, hi) == reference_count(
             p, d, mode, lo, hi)
 
-    @pytest.mark.parametrize("mode, d, size", [(Mode.LEQ, 5, 11**6),
-                                               (Mode.EXACT, 4, 10 * 11**4)])
-    def test_prime_count_holds_one_slice(self, mode, d, size):
+    @pytest.mark.parametrize("mode, size", [(Mode.LEQ, 101**3),
+                                            (Mode.EXACT, 100 * 101**2)])
+    def test_prime_count_holds_one_slice(self, mode, size):
         # A prime modulus builds only the slice it counts (the exact set
         # without the lower degrees): the budget bounds memory as well as
         # time.
         tracemalloc.start()
         try:
-            count = count_range(11, d, mode, 0, size)
+            count = count_range(101, 2, mode, 0, size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == census.count(Modulus(11), d, mode).count
+        assert count == census.count(Modulus(101), 2, mode).count
         assert peak <= size + 64 * 1024
