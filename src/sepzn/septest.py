@@ -2,9 +2,9 @@
 
 Two routes are provided and cross-checked against each other:
 
-* the trace-form discriminant for monic polynomials (det of the matrix of
-  traces of the multiplication operators x^(i+j) on Z/n[x]/f, separable iff
-  the determinant is a unit), and
+* the trace-form discriminant for monic polynomials (the determinant over
+  Z/n, by elimination, of the matrix of traces of the multiplication
+  operators x^(i+j) on Z/n[x]/f; separable iff it is a unit), and
 * the general pipeline for arbitrary polynomials: split Z/n into its
   prime-power components, reduce each component mod p, and check that the
   reduction is coprime to its derivative over the field Z/p.
@@ -49,36 +49,61 @@ def trace_form(f: PolyZn) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s[i:i + big_n]) for i in range(big_n))
 
 
-def _int_det(matrix: tuple[tuple[int, ...], ...]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in matrix]
-    size = len(a)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, size):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _det_mod(matrix, n: int) -> int:
+    """Determinant of a square matrix over Z/n, in [0, n), by elimination
+    with every entry kept in [0, n). In each column a unit, swapped up,
+    clears the rows below it. A column without one is cleared by Euclid:
+    for pivot x and entry b, g = gcd(x, b) = s x + t b, rows (u, v) become
+    (s u + t v, (x/g) v - (b/g) u), a map of determinant 1 over Z. The
+    result is the signed product of the pivots, 0 once that product is."""
+    rows = [list(row) for row in matrix]
+    det = 1
+    while rows and det:
+        i = 0 if math.gcd(rows[0][0], n) == 1 else next(
+            (i for i, row in enumerate(rows) if math.gcd(row[0], n) == 1), None)
+        if i is None:
+            for r in range(1, len(rows)):
+                u, v = rows[0], rows[r]
+                x, b = u[0], v[0]
+                if b:
+                    g = math.gcd(x, b)
+                    s = pow(x // g, -1, b // g) if b > g else 1
+                    t = (g - s * x) // b
+                    x, b = x // g, b // g
+                    rows[r] = [(x * q - b * p) % n for p, q in zip(u, v)]
+                    if t:  # else s = 1: x divides b and row 0 stays
+                        rows[0] = [(s * p + t * q) % n for p, q in zip(u, v)]
+        elif i:
+            rows[0], rows[i] = rows[i], rows[0]
+            det = -det
+        pivot, top = rows[0][0], rows[0][1:]
+        inv = 0 if i is None else pow(pivot, -1, n)
+        det = det * pivot % n
+        rows = [[(e - m * p) % n for e, p in zip(row[1:], top)]
+                if (m := row[0] * inv % n) else row[1:] for row in rows[1:]]
+    return det
+
+
+# disc's bound: a degree N trace form modulo a b-bit n costs about N^3 row
+# steps, each dearer as b grows, and N^3 (b + 32 + b^2 // 768) must stay
+# within MAX_DET_WORK. On a 2-vCPU host the slowest inputs found at the
+# bound answer in about 2.5 s as a process.
+MAX_DET_WORK = 1_500_000_000
 
 
 def discriminant(f: PolyZn) -> int:
     """disc(f) = det(trace form of f) as an element of Z/n, in [0, n).
-
-    The entries are lifted to their integer representatives in [0, n) and
-    the exact integer determinant is reduced mod n; the determinant is a
-    polynomial in the entries, so the result is independent of the lifts.
-    """
-    return _int_det(trace_form(f)) % f.modulus.n
+    Raises DomainError above the bound that MAX_DET_WORK sets."""
+    _require_monic(f)
+    n = f.modulus.n
+    bits = n.bit_length()
+    step = bits + 32 + bits * bits // 768
+    if f.degree**3 * step > MAX_DET_WORK:
+        most = next(d for d in range(f.degree, 0, -1)
+                    if d**3 * step <= MAX_DET_WORK)
+        raise DomainError(f"disc takes degree <= {most} modulo a {bits}-bit "
+                          f"n, got degree {f.degree}")
+    return _det_mod(trace_form(f), n)
 
 
 def is_separable_monic(f: PolyZn) -> bool:

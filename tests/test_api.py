@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import sepzn
-from sepzn import oracle
+from sepzn import oracle, septest
 
 PUBLIC = [
     "BudgetExceeded", "CountResult", "DomainError", "Mode", "Modulus",
@@ -38,3 +38,22 @@ def test_oracle_shares_no_code_with_septest():
         else:
             continue
         assert not any("septest" in name for name in names), names
+
+
+def test_discriminant_shares_no_code_with_the_gcd_route():
+    # The determinant route never reaches the gcd route's Euclid over Z/p
+    # (criterion 8): no function that discriminant calls, directly or
+    # through other functions of septest, names it.
+    tree = ast.parse(Path(septest.__file__).read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), ["discriminant"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(bodies[name]):
+            if (isinstance(node, ast.Name) and node.id in bodies
+                    and node.id not in seen):
+                todo.append(node.id)
+    assert {"discriminant", "trace_form", "_det_mod"} <= seen
+    assert not seen & {"_gcd_lists", "_rem_lists", "_separable_coeffs_mod_p"}

@@ -3,10 +3,11 @@ import csv
 import io
 import json
 import math
+import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepzn import cli
@@ -303,6 +304,18 @@ DECIMALS = st.one_of(st.none(), st.integers(min_value=-2, max_value=20),
                      st.integers(min_value=0, max_value=10**5))
 BUDGETS = st.integers(min_value=0, max_value=10**4)
 MODES = st.sampled_from(["monic", "leq", "exact"])
+# Polynomials for disc and trace-form: short coefficient lists, and sparse
+# x^D + bx + c whose degree D (at most 64, or from 400, which is above
+# disc's bound for every n, to past the parser's 1024) shows in the text.
+COEFFS = st.integers(min_value=0, max_value=10**31)
+SMALL_POLYS = st.tuples(st.lists(COEFFS, max_size=8),
+                        st.one_of(st.just(1), COEFFS)).map(
+    lambda t: ",".join(map(str, t[0] + [t[1]])))
+SPARSE_POLYS = st.tuples(
+    st.one_of(st.integers(min_value=2, max_value=64),
+              st.integers(min_value=400, max_value=1100)),
+    COEFFS, COEFFS).map(lambda t: f"x^{t[0]}+{t[1]}x+{t[2]}")
+DISC_DEGREE = re.compile(r"x\^(\d+)")
 
 
 @st.composite
@@ -312,9 +325,14 @@ def argvs(draw):
     decimal = [] if decimal is None else ["--decimal", str(decimal)]
     budget = ["--budget", str(draw(BUDGETS)), "--workers", "1"]
     command = draw(st.sampled_from(
-        ["factor", "count", "proportion", "enumerate", "verify", "table"]))
+        ["factor", "count", "proportion", "enumerate", "verify", "table",
+         "disc", "trace-form"]))
     if command == "factor":
         return ["factor", "-n", n]
+    if command in ("disc", "trace-form"):
+        polys = SMALL_POLYS if command == "trace-form" else \
+            st.one_of(SMALL_POLYS, SPARSE_POLYS)
+        return [command, "-n", n, "-f", draw(polys)]
     if command == "count":
         return ["count", "--mode", draw(MODES), "-n", n, "-d", d] + decimal
     if command == "proportion":
@@ -342,8 +360,12 @@ def floats_in(value):
     return []
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(argvs())
+@example(["disc", "-n", "1009", "-f", "x^64+3x+1"])
+@example(["disc", "-n", "1009", "-f", "x^400+3x+1"])
+@example(["disc", "-n", "2", "-f", "x^1024+x+1"])
+@example(["trace-form", "-n", str(10**30), "-f", "x^64+3x+1"])
 def test_every_invocation_has_a_defined_answer(argv):
     # Exit 0-3, never a traceback, and no float in an exact result.
     out, err = io.StringIO(), io.StringIO()
@@ -353,6 +375,11 @@ def test_every_invocation_has_a_defined_answer(argv):
     assert "Traceback" not in err.getvalue()
     if status != 0:
         assert err.getvalue().count("\n") >= 1
+    degree = DISC_DEGREE.search(argv[-1]) if argv[0] == "disc" else None
+    if degree and 400 <= int(degree.group(1)) <= 1024:
+        # Above disc's bound: refused before any work.
+        assert status == 2 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
     if argv[0] == "table" and "csv" in argv:
         assert all("." not in field
                    for row in csv.reader(io.StringIO(out.getvalue()))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from sepzn.arith import DomainError, Modulus
 from sepzn.poly import PolyZn, parse
 from sepzn.septest import (
-    _int_det,
+    MAX_DET_WORK,
+    _det_mod,
     discriminant,
     is_separable,
     is_separable_monic,
@@ -130,6 +132,41 @@ class TestTraceForm:
         assert trace_form(f) == companion_trace_form(low + [1], n)
 
 
+# Moduli for the determinant property, each with its prime factors.
+DET_MODULI = {
+    2: [2], 3: [3], 1009: [1009], MERSENNE_61: [MERSENNE_61],
+    4: [2], 8: [2], 27: [3], 1024: [2], 3**7 * 5: [3, 5],
+    12: [2, 3], 36: [2, 3], 45: [3, 5], 49 * 11: [7, 11],
+    1001: [7, 11, 13], 2**5 * 3**3: [2, 3], 10**12: [2, 5],
+}
+
+
+def rational_det(matrix):
+    """The integer determinant, by Gaussian elimination over Q."""
+    a = [[Fraction(e) for e in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            ratio = a[r][c] / a[c][c]
+            a[r] = [x - ratio * y for x, y in zip(a[r], a[c])]
+    return int(det)
+
+
+def trinomial_disc(degree, b, c):
+    """disc(x^N + bx + c) = (-1)^(N(N-1)/2)
+    * (N^N c^(N-1) + (-1)^(N-1) (N-1)^(N-1) b^N), over Z."""
+    n = degree
+    return (-1) ** (n * (n - 1) // 2) * (
+        n**n * c ** (n - 1) + (-1) ** (n - 1) * (n - 1) ** (n - 1) * b**n)
+
+
 class TestDiscriminant:
     def test_quadratic_formula(self):
         for n in (7, 10, 12):
@@ -155,22 +192,39 @@ class TestDiscriminant:
         with pytest.raises(DomainError):
             discriminant(parse("2x^2+1", Modulus(6)))
 
-    def test_lift_independence(self):
-        # replacing an entry lift r by r + t*n leaves det unchanged mod n
-        rng = random.Random(11)
-        for _ in range(60):
-            n = rng.randrange(2, 13)
-            deg = rng.randrange(1, 5)
-            coeffs = [rng.randrange(n) for _ in range(deg)] + [1]
-            form = trace_form(PolyZn(Modulus(n), coeffs))
-            base = _int_det(form) % n
-            lifted = [list(row) for row in form]
-            i = rng.randrange(deg)
-            j = rng.randrange(deg)
-            t = rng.choice([1, 2])
-            lifted[i][j] += t * n
-            lifted[j][i] = lifted[i][j]
-            assert _int_det(tuple(map(tuple, lifted))) % n == base
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(DET_MODULI)), st.integers(1, 8), st.data())
+    def test_det_mod_matches_rational_determinant(self, n, size, data):
+        # Entries near 0, p, p^2 and n - 1 leave columns without a unit,
+        # which the elimination clears by Euclid.
+        near = sorted({e % n for p in DET_MODULI[n]
+                       for e in (0, 1, p, p * p, n - 1, n - p)})
+        entry = st.one_of(st.sampled_from(near), st.integers(0, n - 1))
+        matrix = data.draw(st.lists(st.lists(entry, min_size=size,
+                                             max_size=size),
+                                    min_size=size, max_size=size))
+        assert _det_mod(matrix, n) == rational_det(matrix) % n
+
+    @pytest.mark.parametrize("degree", [16, 64, 128])
+    @pytest.mark.parametrize("n", [1009, 1001, 1024, 2**61 * 1009])
+    def test_trinomial_closed_form(self, degree, n):
+        rng = random.Random(degree * n)
+        m = Modulus(n)
+        for _ in range(2):
+            b, c = rng.randrange(n), rng.randrange(n)
+            f = PolyZn(m, (c, b) + (0,) * (degree - 2) + (1,))
+            assert discriminant(f) == trinomial_disc(degree, b, c) % n
+
+    def test_bound_is_exact(self):
+        # For a 10-bit n the bound is degree^3 * (10 + 32) <= MAX_DET_WORK;
+        # the refusal names the largest degree accepted.
+        m = Modulus(1009)
+        largest = max(d for d in range(1, 400)
+                      if d**3 * (10 + 32) <= MAX_DET_WORK)
+        f = PolyZn(m, (1, 3) + (0,) * (largest - 2) + (1,))
+        assert discriminant(f) == trinomial_disc(largest, 3, 1) % 1009
+        with pytest.raises(DomainError, match=f"degree <= {largest} "):
+            discriminant(PolyZn(m, (1, 3) + (0,) * (largest - 1) + (1,)))
 
 
 class TestSeparabilityMonic:
