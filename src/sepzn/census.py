@@ -29,11 +29,15 @@ class Mode(str, Enum):
 @dataclass(frozen=True)
 class CountResult:
     """A count of separable polynomials together with the size of the
-    sampled set and the exact proportion count/total."""
+    sampled set."""
 
     count: int
     total: int
-    proportion: Fraction
+
+    @property
+    def proportion(self) -> Fraction:
+        """The exact proportion count/total."""
+        return Fraction(self.count, self.total)
 
 
 # Python renders an int of at most 4300 digits as a string, and every count
@@ -105,26 +109,34 @@ def count_separable_exact(m: Modulus, d: int) -> int:
     return count_separable_leq(m, d) - count_separable_leq(m, d - 1)
 
 
+# The formula of each mode, looked up as a module attribute at each call so
+# that a replaced formula is the one used, and how many values the leading
+# coefficient takes.  Mode is a str Enum: a member and its value find one
+# entry.
+_MODES = {Mode.MONIC: (lambda m, d: count_monic_separable(m, d), lambda n: 1),
+          Mode.LEQ: (lambda m, d: count_separable_leq(m, d), lambda n: n),
+          Mode.EXACT: (lambda m, d: count_separable_exact(m, d),
+                       lambda n: n - 1)}
+
+
 def count(m: Modulus, d: int, mode: Mode) -> CountResult:
-    """The separable count of one mode, the size of the set it is taken
-    over (n^d monic, n^(d+1) degree <= d, (n-1)n^d degree exactly d) and
-    their exact ratio.
+    """The separable count of one mode and the size of the set it is taken
+    over (n^d monic, n^(d+1) degree <= d, (n-1)n^d degree exactly d).
 
     Refuses a set whose size has more than MAX_DIGITS decimal digits."""
-    n, mode = m.n, Mode(mode)
-    # The formula, and how many values the leading coefficient takes.
-    formula, lead = {Mode.MONIC: (count_monic_separable, 1),
-                     Mode.LEQ: (count_separable_leq, n),
-                     Mode.EXACT: (count_separable_exact, n - 1)}[mode]
+    try:
+        formula, lead = _MODES[mode]
+    except KeyError:
+        formula, lead = _MODES[Mode(mode)]  # ValueError if not a mode
     _require_degree(d)
+    n = m.n
     # Every set holds at least n^d >= 2^(d(bits - 1)) tuples, so the test of
     # bit lengths refuses a far too large set before any power is taken.
     if (d * (n.bit_length() - 1) >= _SIZE_LIMIT.bit_length()
-            or (total := lead * n**d) >= _SIZE_LIMIT):
-        raise DomainError(f"the {mode.value} set at d = {d} has a size of "
-                          f"more than {MAX_DIGITS} digits")
-    c = formula(m, d)
-    return CountResult(c, total, Fraction(c, total))
+            or (total := lead(n) * n**d) >= _SIZE_LIMIT):
+        raise DomainError(f"the {Mode(mode).value} set at d = {d} has a size "
+                          f"of more than {MAX_DIGITS} digits")
+    return CountResult(formula(m, d), total)
 
 
 def count_leq_recurrence(p: int, k: int, d: int) -> int:

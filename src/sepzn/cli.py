@@ -13,11 +13,10 @@ required, budget exceeded), 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import math
 import sys
-from fractions import Fraction
 
 from . import census, oracle
 from .arith import DomainError, Modulus
@@ -40,18 +39,22 @@ def _emit(command: str, inputs: dict, result: dict, provenance: str):
     print(json.dumps(record))
 
 
-def _rational(key: str, value: Fraction, decimal: int | None = None) -> dict:
-    """value under key as "numerator/denominator", followed, when decimal
-    is given, by value truncated to `decimal` places, flagged approximate."""
-    fields = {key: f"{value.numerator}/{value.denominator}"}
+def _rational(key: str, numerator: int, denominator: int,
+              decimal: int | None = None) -> dict:
+    """numerator/denominator in lowest terms under key, followed, when
+    decimal is given, by its value truncated to `decimal` places, flagged
+    approximate."""
+    g = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
+    fields = {key: f"{numerator}/{denominator}"}
     if decimal is not None:
         if decimal > census.MAX_DIGITS:
             raise DomainError(f"--decimal must be <= {census.MAX_DIGITS}, "
                               f"got {decimal}")
-        whole, rest = divmod(value.numerator, value.denominator)
+        whole, rest = divmod(numerator, denominator)
         fields["decimal"] = str(whole)
         if decimal > 0:
-            frac = rest * 10**decimal // value.denominator
+            frac = rest * 10**decimal // denominator
             fields["decimal"] += f".{frac:0{decimal}d}"
         fields["approximate"] = True
     return fields
@@ -82,9 +85,20 @@ def _cmd_disc(args) -> int:
     return 0
 
 
+# trace-form prints N^2 residues of up to as many digits as n has, and
+# refuses a monic f of degree N modulo a b-digit n when N^2 b exceeds this.
+MAX_TRACE_DIGITS = 2**24
+
+
 def _cmd_trace_form(args) -> int:
     m = Modulus(args.n)
     f = parse(args.poly, m)
+    digits = len(str(m.n))
+    if f.is_monic() and f.degree**2 * digits > MAX_TRACE_DIGITS:
+        raise DomainError(
+            f"trace-form takes degree <= "
+            f"{math.isqrt(MAX_TRACE_DIGITS // digits)} modulo a {digits}-digit "
+            f"n, got degree {f.degree}")
     _emit("trace-form", {"n": m.n, "polynomial": str(f)},
           {"type": "matrix", "modulus": m.n,
            "entries": [list(row) for row in trace_form(f)]}, "formula")
@@ -97,7 +111,7 @@ def _cmd_count(args) -> int:
     r = census.count(m, args.d, mode)
     _emit("count", {"n": m.n, "d": args.d, "mode": mode.value},
           {"type": "count", "value": r.count, "total": r.total,
-           **_rational("proportion", r.proportion, args.decimal)},
+           **_rational("proportion", r.count, r.total, args.decimal)},
           "formula")
     return 0
 
@@ -106,7 +120,8 @@ def _cmd_proportion(args) -> int:
     m = Modulus(args.n)
     value = census.proportion_monic_separable(m, args.d)
     _emit("proportion", {"n": m.n, "d": args.d},
-          {"type": "rational", **_rational("value", value, args.decimal)},
+          {"type": "rational", **_rational("value", value.numerator,
+                                           value.denominator, args.decimal)},
           "formula")
     return 0
 
@@ -145,21 +160,23 @@ def _cmd_table(args) -> int:
     if ns and ds:
         for d in (args.d_min, args.d_max):  # d >= 0; the largest set
             census.count(Modulus(args.n_max), d, mode)
+    # One template per command, filled with n, d, mode, count, proportion:
+    # the row csv.writer (excel dialect) writes for these quote-free fields,
+    # or the line _emit writes for the row's record.
+    write, name = sys.stdout.write, mode.value
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "d", "mode", "count", "proportion"])
+        write("n,d,mode,count,proportion\r\n")
+        row = "%d,%d,%s,%d,%s\r\n"
+    else:
+        row = ('{"command": "table", "inputs": {"n": %d, "d": %d, '
+               '"mode": "%s"}, "result": {"type": "count", "value": %d, '
+               '"proportion": "%s"}, "provenance": "formula"}\n')
     for n in ns:
         m = Modulus(n)
         for d in ds:
             r = census.count(m, d, mode)
-            fields = _rational("proportion", r.proportion)
-            if args.format == "csv":
-                writer.writerow([n, d, mode.value, r.count,
-                                 fields["proportion"]])
-            else:
-                _emit("table", {"n": n, "d": d, "mode": mode.value},
-                      {"type": "count", "value": r.count, **fields},
-                      "formula")
+            fields = _rational("proportion", r.count, r.total)
+            write(row % (n, d, name, r.count, fields["proportion"]))
     return 0
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from .arith import DomainError, Modulus
 
-# Largest exponent the term grammar accepts, checked before the coefficient
-# list is allocated: "x^99999999999" is a parse error, not a 100 GB list.
+# Largest degree either grammar accepts, checked before the coefficient list
+# is allocated or any entry converted: "x^99999999999" is a parse error, not
+# a 100 GB list, and so is a comma list of more than MAX_EXPONENT + 1 entries.
 MAX_EXPONENT = 1024
 
 
@@ -138,9 +139,15 @@ def parse(text: str, modulus: Modulus) -> PolyZn:
 
 
 def _parse_coeff_list(text: str, modulus: Modulus) -> PolyZn:
+    parts = text.split(",")
+    if len(parts) > MAX_EXPONENT + 1:
+        # The position of the first entry past degree MAX_EXPONENT.
+        pos = sum(len(part) + 1 for part in parts[:MAX_EXPONENT + 1])
+        raise PolyParseError(f"a list of {len(parts)} coefficients is above "
+                             f"the maximum degree {MAX_EXPONENT}", pos)
     coeffs = []
     pos = 0
-    for part in text.split(","):
+    for part in parts:
         entry = part.strip()
         if not entry.isdigit():
             raise PolyParseError(f"expected a natural number, got {entry!r}", pos)

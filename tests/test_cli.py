@@ -1,16 +1,18 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepzn import cli
+from sepzn import census, cli
 from sepzn.arith import Modulus
 
 
@@ -228,6 +230,10 @@ def test_factor_mersenne_61(capsys):
     (["factor", "-n", "618970019642690137449562111"], 2, "domain error: "),
     (["check", "-n", "6", "-f", "x^99999999999"], 1, "usage error: "),
     (["check", "-n", "6", "-f", "9" * 5000 + "x+1"], 1, "usage error: "),
+    # Degree 1025 as a comma list.
+    (["check", "-n", "7", "-f", ",".join(["1"] * 1026)], 1, "usage error: "),
+    (["trace-form", "-n", "7", "-f", ",".join(["1"] * 1026)], 1,
+     "usage error: "),
 ])
 def test_refusals_are_one_line(capsys, argv, status, prefix):
     assert cli.run(argv) == status
@@ -236,6 +242,50 @@ def test_refusals_are_one_line(capsys, argv, status, prefix):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(prefix)
     assert "Traceback" not in captured.err
+
+
+def test_coefficient_list_up_to_degree_1024(capsys):
+    status, recs = run_lines(capsys, ["check", "-n", "7", "-f",
+                                      ",".join(["1"] * 1025)])
+    assert status == 0
+    assert recs[0]["inputs"]["polynomial"].startswith("x^1024+x^1023+")
+
+
+def test_long_coefficient_list_refused_at_once(capsys):
+    # About as many entries as one argv string holds.
+    start = time.perf_counter()
+    assert cli.run(["trace-form", "-n", "7", "-f",
+                    ",".join(["1"] * 65000)]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("digits, degree, most", [
+    (16, 1024, None),   # 1024^2 * 16 = 2^24 exactly: accepted
+    (17, 1024, 993),
+    (4096, 64, None),   # 64^2 * 4096 = 2^24
+    (4096, 65, 64),
+    (4300, 63, 62),
+])
+def test_trace_form_output_bound(capsys, digits, degree, most):
+    # x^N - 1 modulo a `digits`-digit n: the power sums of its roots are N
+    # at multiples of N and 0 elsewhere, so an accepted matrix is checked
+    # entry by entry.
+    n = 10 ** (digits - 1)
+    argv = ["trace-form", "-n", str(n), "-f", f"x^{degree}+{n - 1}"]
+    if most is None:
+        status, recs = run_lines(capsys, argv)
+        assert status == 0
+        entries = recs[0]["result"]["entries"]
+        assert entries == [[degree if (i + j) % degree == 0 else 0
+                            for j in range(degree)] for i in range(degree)]
+        return
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"domain error: trace-form takes degree <= {most} "
+                            f"modulo a {digits}-digit n, got degree {degree}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -387,3 +437,140 @@ def test_every_invocation_has_a_defined_answer(argv):
         return
     for line in out.getvalue().splitlines():
         assert floats_in(json.loads(line)["result"]) == []
+
+
+# The exact stdout of count and proportion with --decimal, captured before
+# the "a/b" renderer reduced count/total itself; a line of 4300 decimals is
+# pinned by its SHA-256.  count/total share a factor in most of these
+# (100/216 = 25/54 at n = 6, degree <= 2).
+RENDERED = [
+    ('count --mode monic -n 6 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 6, "d": 2, "mode": "monic"}, "result": {"type": "count", "value": 12, "total": 36, "proportion": "1/3", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode monic -n 6 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 6, "d": 2, "mode": "monic"}, "result": {"type": "count", "value": 12, "total": 36, "proportion": "1/3", "decimal": "0.3333333", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode monic -n 6 -d 2 --decimal 4300',
+     'sha256:e23138600fcb6ecf48e12a9f3f2f8af5f452a370a08dc73f2f7683e47cd556ec'),
+    ('count --mode leq -n 6 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 6, "d": 2, "mode": "leq"}, "result": {"type": "count", "value": 100, "total": 216, "proportion": "25/54", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode leq -n 6 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 6, "d": 2, "mode": "leq"}, "result": {"type": "count", "value": 100, "total": 216, "proportion": "25/54", "decimal": "0.4629629", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode leq -n 6 -d 2 --decimal 4300',
+     'sha256:855edecccd493f96078256cd14e5cad42c870fffcd1e1d72d625d608bc80aeaf'),
+    ('count --mode exact -n 6 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 6, "d": 2, "mode": "exact"}, "result": {"type": "count", "value": 76, "total": 180, "proportion": "19/45", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode exact -n 6 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 6, "d": 2, "mode": "exact"}, "result": {"type": "count", "value": 76, "total": 180, "proportion": "19/45", "decimal": "0.4222222", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode exact -n 6 -d 2 --decimal 4300',
+     'sha256:af90d99b480c79b37230557bb0181a856afa3566a9792b1fedf7887053e376a0'),
+    ('proportion -n 6 -d 2 --decimal 0',
+     '{"command": "proportion", "inputs": {"n": 6, "d": 2}, "result": {"type": "rational", "value": "1/3", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('proportion -n 6 -d 2 --decimal 7',
+     '{"command": "proportion", "inputs": {"n": 6, "d": 2}, "result": {"type": "rational", "value": "1/3", "decimal": "0.3333333", "approximate": true}, "provenance": "formula"}'),
+    ('proportion -n 6 -d 2 --decimal 4300',
+     'sha256:ef2002024125498b6832a30e33c47d3c3f7835f11e5e48baf2eebdece4096aab'),
+    ('count --mode monic -n 12 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 12, "d": 2, "mode": "monic"}, "result": {"type": "count", "value": 48, "total": 144, "proportion": "1/3", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode monic -n 12 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 12, "d": 2, "mode": "monic"}, "result": {"type": "count", "value": 48, "total": 144, "proportion": "1/3", "decimal": "0.3333333", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode monic -n 12 -d 2 --decimal 4300',
+     'sha256:4c32b2cfdc3024c3b1480f608a51add9468cc1650d945f6d13e862d37b2ad271'),
+    ('count --mode leq -n 12 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 12, "d": 2, "mode": "leq"}, "result": {"type": "count", "value": 800, "total": 1728, "proportion": "25/54", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode leq -n 12 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 12, "d": 2, "mode": "leq"}, "result": {"type": "count", "value": 800, "total": 1728, "proportion": "25/54", "decimal": "0.4629629", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode leq -n 12 -d 2 --decimal 4300',
+     'sha256:e9f4a64543eb63bb6b7bd21ee3e8893eda1f7bcd1085b7a2405d9c05a397c2e4'),
+    ('count --mode exact -n 12 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 12, "d": 2, "mode": "exact"}, "result": {"type": "count", "value": 704, "total": 1584, "proportion": "4/9", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode exact -n 12 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 12, "d": 2, "mode": "exact"}, "result": {"type": "count", "value": 704, "total": 1584, "proportion": "4/9", "decimal": "0.4444444", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode exact -n 12 -d 2 --decimal 4300',
+     'sha256:3d1a4a0e4ced7c4bcc42b18b40cdf61d9621140bf55f340953f44d453bc5b9e1'),
+    ('proportion -n 12 -d 2 --decimal 0',
+     '{"command": "proportion", "inputs": {"n": 12, "d": 2}, "result": {"type": "rational", "value": "1/3", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('proportion -n 12 -d 2 --decimal 7',
+     '{"command": "proportion", "inputs": {"n": 12, "d": 2}, "result": {"type": "rational", "value": "1/3", "decimal": "0.3333333", "approximate": true}, "provenance": "formula"}'),
+    ('proportion -n 12 -d 2 --decimal 4300',
+     'sha256:7bac84b81ad591d610095e36baff9e58e046bc0f3d52ab83c434db549b95fa37'),
+    ('count --mode monic -n 1009 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 1009, "d": 2, "mode": "monic"}, "result": {"type": "count", "value": 1017072, "total": 1018081, "proportion": "1008/1009", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode monic -n 1009 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 1009, "d": 2, "mode": "monic"}, "result": {"type": "count", "value": 1017072, "total": 1018081, "proportion": "1008/1009", "decimal": "0.9990089", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode monic -n 1009 -d 2 --decimal 4300',
+     'sha256:8fe04cb671db5d424d7c382dc72429309c56ea114d37205806ab5c26f024ec9d'),
+    ('count --mode leq -n 1009 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 1009, "d": 2, "mode": "leq"}, "result": {"type": "count", "value": 1026226656, "total": 1027243729, "proportion": "1026226656/1027243729", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode leq -n 1009 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 1009, "d": 2, "mode": "leq"}, "result": {"type": "count", "value": 1026226656, "total": 1027243729, "proportion": "1026226656/1027243729", "decimal": "0.9990099", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode leq -n 1009 -d 2 --decimal 4300',
+     'sha256:daf7a5caa4efa5f6d123a11f349f4351ad8efa5e3d50291a2b1923339e80dcf4'),
+    ('count --mode exact -n 1009 -d 2 --decimal 0',
+     '{"command": "count", "inputs": {"n": 1009, "d": 2, "mode": "exact"}, "result": {"type": "count", "value": 1025208576, "total": 1026225648, "proportion": "1008/1009", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode exact -n 1009 -d 2 --decimal 7',
+     '{"command": "count", "inputs": {"n": 1009, "d": 2, "mode": "exact"}, "result": {"type": "count", "value": 1025208576, "total": 1026225648, "proportion": "1008/1009", "decimal": "0.9990089", "approximate": true}, "provenance": "formula"}'),
+    ('count --mode exact -n 1009 -d 2 --decimal 4300',
+     'sha256:b7dee2e5fbeaed0399b6902d94002aeb306c490c55987f21d5371ad93ea28380'),
+    ('proportion -n 1009 -d 2 --decimal 0',
+     '{"command": "proportion", "inputs": {"n": 1009, "d": 2}, "result": {"type": "rational", "value": "1008/1009", "decimal": "0", "approximate": true}, "provenance": "formula"}'),
+    ('proportion -n 1009 -d 2 --decimal 7',
+     '{"command": "proportion", "inputs": {"n": 1009, "d": 2}, "result": {"type": "rational", "value": "1008/1009", "decimal": "0.9990089", "approximate": true}, "provenance": "formula"}'),
+    ('proportion -n 1009 -d 2 --decimal 4300',
+     'sha256:d0d37502543e138d625ce8d399a6db879cb70bc47e7484da0d2987c37ca631ce'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", RENDERED)
+def test_rational_rendering_is_pinned(capsys, argv, expected):
+    assert cli.run(argv.split()) == 0
+    out = capsys.readouterr().out
+    if expected.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == expected
+    else:
+        assert out == expected + "\n"
+
+
+def reference_table(n_min, n_max, d_min, d_max, mode, fmt):
+    """What `table` prints, built row by row with csv.writer or json.dumps
+    of the record."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    if fmt == "csv":
+        writer.writerow(["n", "d", "mode", "count", "proportion"])
+    for n in range(n_min, n_max + 1):
+        for d in range(d_min, d_max + 1):
+            r = census.count(Modulus(n), d, census.Mode(mode))
+            p = Fraction(r.count, r.total)
+            proportion = f"{p.numerator}/{p.denominator}"
+            if fmt == "csv":
+                writer.writerow([n, d, mode, r.count, proportion])
+            else:
+                out.write(json.dumps(
+                    {"command": "table", "inputs": {"n": n, "d": d, "mode": mode},
+                     "result": {"type": "count", "value": r.count,
+                                "proportion": proportion},
+                     "provenance": "formula"}) + "\n")
+    return out.getvalue()
+
+
+PRIME_POWERS = st.sampled_from([2, 3, 5, 7, 101, 1009, 999983]).flatmap(
+    lambda p: st.integers(min_value=1, max_value=int(math.log(10**12, p)))
+    .map(lambda k: p**k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(min_value=2, max_value=10**12), PRIME_POWERS),
+       st.integers(min_value=-1, max_value=40),
+       st.integers(min_value=0, max_value=8),
+       st.integers(min_value=-1, max_value=8),
+       MODES, st.sampled_from(["csv", "jsonl"]))
+def test_table_rows_match_reference(n_min, span, d_min, d_span, mode, fmt):
+    d_max = min(d_min + d_span, 8)
+    argv = ["table", "--n-min", str(n_min), "--n-max", str(n_min + span),
+            "--d-min", str(d_min), "--d-max", str(d_max), "--mode", mode,
+            "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    expected = reference_table(n_min, n_min + span, d_min, d_max, mode, fmt)
+    assert out.getvalue().splitlines(keepends=True) == \
+        expected.splitlines(keepends=True)

@@ -106,6 +106,16 @@ class TestParse:
                 parse(text, Modulus(6))
             assert e.value.position == text.index("^") + 1
 
+    def test_coefficient_list_cap(self):
+        ones = ["1"] * (MAX_EXPONENT + 1)
+        assert parse(",".join(ones), Modulus(6)).degree == MAX_EXPONENT
+        # One entry more is refused at that entry, before any is converted
+        # (the extra entry is not even a number).
+        text = ",".join(ones + ["*"])
+        with pytest.raises(PolyParseError) as e:
+            parse(text, Modulus(6))
+        assert e.value.position == len(text) - 1
+
     def test_unreadable_number_rejected(self):
         digits = "9" * 5000  # past int()'s default limit of 4300 digits
         for text in (f"{digits}x+1", f"x^{digits}", f"{digits},1",
