@@ -152,9 +152,6 @@ class Modulus:
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.n == other.n
 
-    def __hash__(self):
-        return hash(self.n)
-
     def __repr__(self):
         return f"Modulus({self.n})"
 

@@ -6,14 +6,15 @@ A polynomial over Z/n is separable exactly when its reduction mod every
 prime p | n is, and over the field Z/p one of degree >= 1 is separable
 exactly when no g^2 divides it, g monic of degree >= 1 (the squarefree
 criterion Carlitz counts).  So the verdicts mod p come from a square sieve,
-with no gcd: one byte per reduced tuple, all 1 but the zero polynomial, and
-every product g^2 h marked 0.  A table is indexed by sum (c_i mod p) p^i
-over the free coefficients: p^d entries for the monic tuples of degree d,
-p^(d + 1) for every tuple of degree <= d, the exact-degree ones from p^d on.
+with no gcd: one byte per polynomial of degree <= d, at index sum c_i p^i,
+all 1 but the zero polynomial and every multiple of a g^2 marked 0.  The
+multiples of g^2 are indexed by their coefficients from x^(2e) up, e the
+degree of g, so those in a window of the table are a run of them.  The
+monic polynomials of degree d are the window [p^d, 2 p^d), the exact-degree
+ones [p^d, p^(d + 1)).
 
 For prime n a count over indices [lo, hi) is the number of ones in one table
-slice, and only that slice (hi - lo bytes) is built; the sieve skips the
-blocks of products that miss it, so its work follows the slice too.  For
+window, and only that window (hi - lo bytes) is built and sieved.  For
 composite n a mixed-radix odometer walks the space, digit i being
 coefficient i, coefficient 0 fastest, so index t names the same tuple in
 every walk and split; for each prime p | n it carries the table index of
@@ -53,57 +54,51 @@ class BudgetExceeded(Exception):
         self.required, self.budget = required, budget
 
 
-def _sieve(p: int, d: int, monic: bool, lo: int = 0,
-           hi: int | None = None) -> bytearray:
-    """Separability over Z/p of the tuples with table indices [lo, hi) (by
-    default the whole table), one byte each: the monic tuples of degree d,
-    or every tuple of degree <= d.  The work follows hi - lo."""
-    place = [p**i for i in range(d + 1)]
-    hi = (place[d] if monic else place[d] * p) if hi is None else hi
+def _sieve(p: int, d: int, lo: int = 0, hi: int | None = None) -> bytearray:
+    """Separability over Z/p of the polynomials f of degree <= d with table
+    indices sum f_i p^i in [lo, hi) (by default the whole table), one byte
+    each.  The work follows hi - lo."""
+    hi = p**(d + 1) if hi is None else hi
     table = bytearray(b"\1") * max(hi - lo, 0)
-    if not monic and lo == 0 < hi:
+    if lo == 0 < hi:
         table[0] = 0  # the zero polynomial
-    # f is marked at sum f_i p^i - base: a monic lead is not in the index.
-    base, size = lo + (place[d] if monic else 0), len(table)
+    size = len(table)
     for e in range(1, d // 2 + 1):
-        free = d - 2 * e + (0 if monic else 1)  # the free coefficients of h
-        # Fixing the top u of them fixes the top u index digits of f = g^2 h:
-        # a block, skipped if it misses [lo, hi), in which an odometer over
-        # the other free - u visits every product (u <= free / 2).
-        u, block = 0, place[d] * (1 if monic else p)
-        while u < free // 2 and block > size:
-            u, block = u + 1, block // p
+        # f = T + R, T = sum m_j x^(2e + j) and deg R < 2e, is a multiple of
+        # g^2 exactly when R = -(T mod g^2): m names one multiple, at index
+        # m p^(2e) + sum R_k p^k, so only m in [first, last) reach [lo, hi).
+        block, place = p**(2 * e), [p**k for k in range(2 * e)]
+        first, last = lo // block, min(-(-hi // block), p**(d - 2 * e + 1))
         for low in itertools.product(range(p), repeat=e):
             g = (*low, 1)
-            s = [sum(g[i] * g[k - i] for i in range(max(0, k - e),
-                                                     min(k, e) + 1)) % p
-                 for k in range(2 * e + 1)]  # g^2
-            # Where h_0 .. h_(j-1) wrap to 0 and h_j goes up, f gains x^i g^2,
-            # i <= j: f_k moves by c, the index by c p^k ((c - p) p^k on wrap).
-            moves = [[(i + k, c, c * place[i + k], (c - p) * place[i + k])
-                      for i in range(j + 1) for k, c in enumerate(s) if c]
-                     for j in range(free - u)]
-            for top in itertools.product(range(p), repeat=u):
-                h = [0] * (free - u) + [*top] + [1] * monic
-                f = [sum(c * h[i - j] for j, c in enumerate(s)
-                         if 0 <= i - j < len(h)) % p for i in range(d + 1)]
-                t = sum(c * q for c, q in zip(f, place)) - base
-                if not -block < t - (t + base) % block < size:
-                    continue  # its block misses [lo, hi)
+            s = r = [sum(g[i] * g[k - i] for i in range(max(0, k - e),
+                                                       min(k, e) + 1)) % p
+                     for k in range(2 * e)]  # g^2 below its lead
+            # r_j = -(x^(2e + j) mod g^2), so R = sum m_j r_j.  Where m_0 ..
+            # m_(j-1) wrap to 0 and m_j goes up, R moves by r_0 + ... + r_j:
+            # R_k by c, the index by c p^k ((c - p) p^k on wrap).
+            rem, up, moves = [0] * (2 * e), [0] * (2 * e), []
+            for j in range(d - 2 * e + 2):
+                m_j = first // p**j % p
+                rem = [(a + m_j * b) % p for a, b in zip(rem, r)]  # at first
+                up = [(a + b) % p for a, b in zip(up, r)]
+                moves.append([(k, c, c * place[k], (c - p) * place[k])
+                              for k, c in enumerate(up) if c])
+                r = [(a - r[-1] * b) % p for a, b in zip([0, *r], s)]
+            t = first * block + sum(c * q for c, q in zip(rem, place)) - lo
+            for m in range(first + 1, last + 1):  # mark m - 1, step to m
                 if 0 <= t < size:
                     table[t] = 0
-                for step in range(1, p**(free - u)):  # the next h in order
-                    q, j = step, 0
-                    while q % p == 0:  # h_0 .. h_(j-1) wrapped to 0
-                        q, j = q // p, j + 1
-                    for i, c, up, down in moves[j]:
-                        v = f[i] + c
-                        if v < p:
-                            f[i], t = v, t + up
-                        else:
-                            f[i], t = v - p, t + down
-                    if 0 <= t < size:
-                        table[t] = 0
+                q, j = m, 0
+                while q % p == 0:  # m_0 .. m_(j-1) wrapped to 0
+                    q, j = q // p, j + 1
+                t += block
+                for k, c, step, wrap in moves[j]:
+                    v = rem[k] + c
+                    if v < p:
+                        rem[k], t = v, t + step
+                    else:
+                        rem[k], t = v - p, t + wrap
     return table
 
 
@@ -115,7 +110,8 @@ class _PrimeWalk:
 
     def __init__(self, p: int, d: int, monic: bool, first0: int,
                  radix0: int, coeffs: list[int]):
-        self.p, self.table = p, _sieve(p, d, monic)
+        self.p = p
+        self.table = _sieve(p, d, p**d, 2 * p**d) if monic else _sieve(p, d)
         # Coefficient i adds (c_i mod p) p^i to the index; a monic lead, 0.
         self.places = [p**i for i in range(d)] + [0 if monic else p**d]
         self.key = sum(c % p * s for c, s in zip(coeffs[1:], self.places[1:]))
@@ -144,13 +140,13 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
     mode = Mode(mode)
     monic = mode is Mode.MONIC
     factors = Modulus(n).factors
-    if factors == ((n, 1),):
-        # One table over the field Z/n; the exact set from index n^d on.
-        base = n**d if mode is Mode.EXACT else 0
-        return _sieve(n, d, monic, base + lo, base + hi).count(1)
     # Coefficient i is first[i] + offset, offset in range(radix[i]); the
     # leading one is fixed at 1 (monic), nonzero (exact) or free (leq).
     lead = {Mode.MONIC: (1, 1), Mode.EXACT: (1, n - 1), Mode.LEQ: (0, n)}
+    if factors == ((n, 1),):
+        # One window of the table over the field Z/n, from the first lead.
+        base = lead[mode][0] * n**d
+        return _sieve(n, d, base + lo, base + hi).count(1)
     first = [0] * d + [lead[mode][0]]
     radix = [n] * d + [lead[mode][1]]
     offsets, t = [], lo

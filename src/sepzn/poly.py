@@ -51,9 +51,6 @@ class PolyZn:
         """Degree of a nonzero polynomial; None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -74,13 +71,6 @@ class PolyZn:
             out[i] += c
         return PolyZn(self.modulus, out)
 
-    def __sub__(self, other):
-        self._check_same_modulus(other)
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return PolyZn(self.modulus, out)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return PolyZn(self.modulus, [other * c for c in self.coeffs])
@@ -99,9 +89,6 @@ class PolyZn:
     def __eq__(self, other):
         return (isinstance(other, PolyZn) and self.modulus == other.modulus
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.modulus.n, self.coeffs))
 
     def __str__(self):
         return format_poly(self)

@@ -155,7 +155,21 @@ def _gcd_lists(a, b, p):
     return a
 
 
+# check's bound: f of degree N costs one Euclid of about N^2 steps over Z/p
+# for each prime p | n, so N^2 times the number of distinct primes of n must
+# stay within MAX_GCD_WORK.  On a 2-vCPU host the slowest inputs found at the
+# bound answer in 2.2-2.8 s as a process, factoring n included.
+MAX_GCD_WORK = 2**22
+
+
 def is_separable(f: PolyZn) -> bool:
     """Separability of any f over Z/n: reduce mod every prime p | n and
-    require separability of every reduction over Z/p."""
-    return all(_separable_coeffs_mod_p(f.coeffs, p) for p, _ in f.modulus.factors)
+    require separability of every reduction over Z/p.  Raises DomainError
+    above the bound that MAX_GCD_WORK sets."""
+    factors = f.modulus.factors
+    if (f.degree or 0)**2 * len(factors) > MAX_GCD_WORK:
+        most = math.isqrt(MAX_GCD_WORK // len(factors))
+        raise DomainError(f"check takes degree <= {most} modulo an n with "
+                          f"{len(factors)} distinct primes, got degree "
+                          f"{f.degree}")
+    return all(_separable_coeffs_mod_p(f.coeffs, p) for p, _ in factors)

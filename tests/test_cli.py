@@ -288,6 +288,22 @@ def test_trace_form_output_bound(capsys, digits, degree, most):
                             f"modulo a {digits}-digit n, got degree {degree}\n")
 
 
+@pytest.mark.parametrize("n, primes, most", [(2310, 5, 915),
+                                              (223092870, 9, 682)])
+def test_check_bound(capsys, n, primes, most):
+    # check takes degree N while N^2 times the number of distinct primes of
+    # n is within septest.MAX_GCD_WORK (2^22).
+    status, recs = run_lines(capsys, ["check", "-n", str(n), "-f",
+                                      f"x^{most}+x+1"])
+    assert status == 0 and recs[0]["result"]["type"] == "bool"
+    assert cli.run(["check", "-n", str(n), "-f", f"x^{most + 1}+x+1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"domain error: check takes degree <= {most} "
+                            f"modulo an n with {primes} distinct primes, got "
+                            f"degree {most + 1}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "-n", "6", "-d", "6000"],
     ["enumerate", "-n", "6", "-d", "6000"],

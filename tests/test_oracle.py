@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 import types
 
@@ -279,45 +280,58 @@ class TestWalkProperties:
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 
-def kernel_table(p, d, monic):
-    """Verdicts of septest's gcd kernel in the sieve's table order: digit i
-    of the index in base p is coefficient i, and a monic table implies the
-    leading 1."""
-    free = d if monic else d + 1
+def kernel_table(p, d, lo, hi):
+    """Verdicts of septest's gcd kernel on table indices [lo, hi) in the
+    sieve's order: digit i of the index in base p is coefficient i of a
+    polynomial of degree <= d."""
     return bytearray(
-        _separable_coeffs_mod_p(
-            [t // p**i % p for i in range(free)] + [1] * monic, p)
-        for t in range(p**free))
+        _separable_coeffs_mod_p([t // p**i % p for i in range(d + 1)], p)
+        for t in range(lo, hi))
 
 
 @st.composite
 def tables(draw):
     p = draw(st.sampled_from(PRIMES))
-    monic = draw(st.booleans())
-    d = draw(st.integers(min_value=0, max_value=5 if monic else 4))
-    return p, d, monic, p ** (d if monic else d + 1)
+    d = draw(st.integers(min_value=0, max_value=4))
+    return p, d, p ** (d + 1)
 
 
 class TestSieve:
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("monic", [True, False])
     def test_tables_match_gcd_kernel(self, p, monic):
-        # Every entry of every table with at most 5 free coefficients.
+        # Every entry of every table with at most 5 free coefficients: the
+        # monic polynomials of degree d are the window [p^d, 2 p^d).
         for d in range(6 if monic else 5):
-            assert oracle._sieve(p, d, monic) == kernel_table(p, d, monic)
+            lo, hi = (p**d, 2 * p**d) if monic else (0, p**(d + 1))
+            assert oracle._sieve(p, d, lo, hi) == kernel_table(p, d, lo, hi)
 
     @settings(max_examples=80, deadline=None)
     @given(tables(), st.data())
     def test_window_matches_whole_table(self, table, data):
-        # p <= 13 with up to 5 free coefficients, monic or not: a window
-        # sieved alone skips the blocks of products that miss it, and
-        # marks what the whole table marks.
-        p, d, monic, size = table
-        lo = data.draw(st.integers(min_value=0, max_value=size))
-        hi = data.draw(st.integers(min_value=lo, max_value=size))
-        whole = oracle._sieve(p, d, monic)
+        # p <= 13 and degree <= 4: a window sieved alone marks what the
+        # whole table marks, wherever it starts and ends, the monic and
+        # exact base p^d and the monic end 2 p^d among them.
+        p, d, size = table
+        edges = [0, p**d, 2 * p**d, size]
+        lo = data.draw(st.one_of(st.sampled_from(edges[:3]),
+                                 st.integers(min_value=0, max_value=size)))
+        hi = data.draw(st.one_of(
+            st.sampled_from([x for x in edges if x >= lo]),
+            st.integers(min_value=lo, max_value=size)))
+        whole = oracle._sieve(p, d)
         assert len(whole) == size
-        assert oracle._sieve(p, d, monic, lo, hi) == whole[lo:hi]
+        assert oracle._sieve(p, d, lo, hi) == whole[lo:hi]
+
+    def test_work_follows_the_window(self):
+        # 2000 entries far into a table of 1009^3: the sieve visits only
+        # the multiples of each g^2 that reach them.
+        lo = 5 * 10**8 + 12345
+        start = time.perf_counter()
+        window = oracle._sieve(1009, 2, lo, lo + 2000)
+        elapsed = time.perf_counter() - start
+        assert window == kernel_table(1009, 2, lo, lo + 2000)
+        assert elapsed < 0.15
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(PRIMES), st.sampled_from(list(Mode)), st.data())

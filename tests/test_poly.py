@@ -32,7 +32,6 @@ class TestCanonicalForm:
         z = PolyZn(Modulus(6), (0, 0))
         assert z.coeffs == ()
         assert z.degree is None
-        assert z.is_zero()
 
     def test_coefficients_reduced(self):
         assert PolyZn(Modulus(6), (7, -1)).coeffs == (1, 5)
@@ -43,7 +42,7 @@ class TestCanonicalForm:
         g = PolyZn(m, (3, 2, 2))   # 2x^2 + 2x + 3
         assert (f * g).coeffs[-1] != 0 if (f * g).coeffs else True
         assert (f + g).coeffs == () or (f + g).coeffs[-1] != 0
-        assert (g - g).coeffs == ()
+        assert (g + g * (m.n - 1)).coeffs == ()
 
     def test_degree_of_product(self):
         for n in range(2, 13):
@@ -52,8 +51,8 @@ class TestCanonicalForm:
                 for cg in itertools.product(range(n), repeat=2):
                     g = PolyZn(m, cg)
                     h = f * g
-                    if f.is_zero() or g.is_zero():
-                        assert h.is_zero()
+                    if f.coeffs == () or g.coeffs == ():
+                        assert h.coeffs == ()
                         continue
                     assert h.degree is None or h.degree <= f.degree + g.degree
                     if f.coeffs[-1] * g.coeffs[-1] % n != 0:
@@ -81,7 +80,7 @@ class TestParse:
         assert parse("x^2-1", Modulus(5)).coeffs == (4, 0, 1)
 
     def test_zero(self):
-        assert parse("0", Modulus(7)).is_zero()
+        assert parse("0", Modulus(7)).coeffs == ()
 
     def test_repeated_terms_accumulate(self):
         assert parse("x+x", Modulus(5)).coeffs == (0, 2)

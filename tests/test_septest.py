@@ -10,7 +10,9 @@ from sepzn.arith import DomainError, Modulus
 from sepzn.poly import PolyZn, parse
 from sepzn.septest import (
     MAX_DET_WORK,
+    MAX_GCD_WORK,
     _det_mod,
+    _separable_coeffs_mod_p,
     discriminant,
     is_separable,
     is_separable_monic,
@@ -291,6 +293,20 @@ class TestSeparabilityGeneral:
                 sep = is_separable(f)
                 for u in units:
                     assert is_separable(f * u) == sep
+
+    @pytest.mark.parametrize("n, primes", [(2 * 3 * 5 * 7 * 11, 5),
+                                           (3**4 * 1009, 2)])
+    def test_bound_is_exact(self, n, primes):
+        # Degree N is taken while N^2 times the number of distinct primes of
+        # n is within MAX_GCD_WORK; the refusal names the largest degree.
+        m = Modulus(n)
+        largest = max(d for d in range(1, 2000)
+                      if d * d * primes <= MAX_GCD_WORK)
+        f = PolyZn(m, (1, 1) + (0,) * (largest - 2) + (1,))
+        assert is_separable(f) == all(
+            _separable_coeffs_mod_p(f.coeffs, p) for p, _ in m.factors)
+        with pytest.raises(DomainError, match=f"degree <= {largest} "):
+            is_separable(PolyZn(m, (1, 1) + (0,) * (largest - 1) + (1,)))
 
     def test_shift_invariance(self):
         for n in (4, 6, 9):
