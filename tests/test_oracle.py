@@ -1,5 +1,5 @@
 import itertools
-import time
+import sys
 import tracemalloc
 import types
 
@@ -289,11 +289,35 @@ def kernel_table(p, d, lo, hi):
         for t in range(lo, hi))
 
 
+def lines_run(func, *args):
+    """func(*args) and the number of lines run in func's own frame."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not func.__code__:
+            return None
+        if event == "line":
+            lines += 1
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        value = func(*args)
+    finally:
+        sys.settrace(before)
+    return value, lines
+
+
 @st.composite
 def tables(draw):
+    # A whole table of at most 13^5 entries; else (degree 5, p >= 11) the
+    # monic window [p^5, 2 p^5).
     p = draw(st.sampled_from(PRIMES))
-    d = draw(st.integers(min_value=0, max_value=4))
-    return p, d, p ** (d + 1)
+    d = draw(st.integers(min_value=0, max_value=5))
+    size = p**(d + 1)
+    return (p, d, 0, size) if size <= 13**5 else (p, d, p**d, 2 * p**d)
 
 
 class TestSieve:
@@ -309,29 +333,29 @@ class TestSieve:
     @settings(max_examples=80, deadline=None)
     @given(tables(), st.data())
     def test_window_matches_whole_table(self, table, data):
-        # p <= 13 and degree <= 4: a window sieved alone marks what the
-        # whole table marks, wherever it starts and ends, the monic and
+        # p <= 13 and degree <= 5: a window sieved alone marks what the
+        # table around it marks, wherever it starts and ends, the monic and
         # exact base p^d and the monic end 2 p^d among them.
-        p, d, size = table
-        edges = [0, p**d, 2 * p**d, size]
-        lo = data.draw(st.one_of(st.sampled_from(edges[:3]),
-                                 st.integers(min_value=0, max_value=size)))
+        p, d, start, end = table
+        edges = [x for x in (0, p**d, 2 * p**d, p**(d + 1))
+                 if start <= x <= end]
+        lo = data.draw(st.one_of(st.sampled_from(edges),
+                                 st.integers(min_value=start, max_value=end)))
         hi = data.draw(st.one_of(
             st.sampled_from([x for x in edges if x >= lo]),
-            st.integers(min_value=lo, max_value=size)))
-        whole = oracle._sieve(p, d)
-        assert len(whole) == size
-        assert oracle._sieve(p, d, lo, hi) == whole[lo:hi]
+            st.integers(min_value=lo, max_value=end)))
+        whole = oracle._sieve(p, d, start, end)
+        assert len(whole) == end - start
+        assert oracle._sieve(p, d, lo, hi) == whole[lo - start:hi - start]
 
     def test_work_follows_the_window(self):
         # 2000 entries far into a table of 1009^3: the sieve visits only
-        # the multiples of each g^2 that reach them.
+        # the multiples of each of the 1009 squares g^2 that reach them, one
+        # or two each, not the 1009 multiples of each below them.
         lo = 5 * 10**8 + 12345
-        start = time.perf_counter()
-        window = oracle._sieve(1009, 2, lo, lo + 2000)
-        elapsed = time.perf_counter() - start
+        window, lines = lines_run(oracle._sieve, 1009, 2, lo, lo + 2000)
         assert window == kernel_table(1009, 2, lo, lo + 2000)
-        assert elapsed < 0.15
+        assert lines < 100 * 1009
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(PRIMES), st.sampled_from(list(Mode)), st.data())
