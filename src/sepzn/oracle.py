@@ -13,17 +13,19 @@ degree of g, so those in a window of the table are a run of them.  The
 monic polynomials of degree d are the window [p^d, 2 p^d), the exact-degree
 ones [p^d, p^(d + 1)).
 
-For prime n a count over indices [lo, hi) is the number of ones in one table
-window, and only that window (hi - lo bytes) is built and sieved.  For
-composite n a mixed-radix odometer walks the space, digit i being
-coefficient i, coefficient 0 fastest, so index t names the same tuple in
-every walk and split; for each prime p | n it carries the table index of
-the tuple reduced mod p.  The distinct primes of a composite n sum to at
-most n - 1, so the tables hold no more bytes than the space has tuples: the
-budget bounds memory as well as time.  Digit 0 is stepped a row at a time:
-each prime's row verdicts are its table slice tiled across the row, and a
-tuple counts where every verdict is 1.  Ranges of the space run on parallel
-workers, each sieving its own tables, and their counts are summed.
+Index t of a mode's space is index base + t of the degree <= d space,
+whose index sum c_i n^i has coefficient 0 as its lowest digit; base is n^d
+for the monic and exact sets and 0 for the leq set.  For prime n a count
+over indices [lo, hi) is the number of ones in one table window, and only
+that window (hi - lo bytes) is built and sieved.  Composite n is walked in
+blocks of n^j tuples that share coefficients j and up.  For each prime
+p | n those coefficients reduced mod p fix a run of p^j table entries, and
+the block's verdicts mod p are that run tiled n/p times along each
+coefficient below j; a tuple counts where every prime's verdict is 1.  The
+distinct primes of a composite n sum to at most n - 1, so the tables hold
+no more bytes than the space has tuples: the budget bounds memory as well
+as time.  Ranges of the space run on parallel workers, each sieving its
+own tables, and their counts are summed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .census import Mode
 from .poly import PolyZn  # noqa: F401
 
 DEFAULT_BUDGET = 10**8
+# Tuples per block of the composite walk (see count_range).
+_BLOCK = 2**20
 
 
 class BudgetExceeded(Exception):
@@ -102,78 +106,54 @@ def _sieve(p: int, d: int, lo: int = 0, hi: int | None = None) -> bytearray:
     return table
 
 
-class _PrimeWalk:
-    """One prime p | n, p < n, along the walk: its verdict table and the
-    table index of the row, the digits above digit 0 reduced mod p."""
-
-    __slots__ = ("p", "places", "width", "shift", "reps", "key", "table")
-
-    def __init__(self, p: int, d: int, monic: bool, first0: int,
-                 radix0: int, coeffs: list[int]):
-        self.p = p
-        self.table = _sieve(p, d, p**d, 2 * p**d) if monic else _sieve(p, d)
-        # Coefficient i adds (c_i mod p) p^i to the index; a monic lead, 0.
-        self.places = [p**i for i in range(d)] + [0 if monic else p**d]
-        self.key = sum(c % p * s for c, s in zip(coeffs[1:], self.places[1:]))
-        # Digit 0 at offset j holds first0 + j: its verdict is entry
-        # shift + j of the row's table slice, tiled.
-        self.width = w = min(p, len(self.table))
-        self.shift = first0 % w
-        self.reps = -(-(self.shift + radix0) // w)
-
-    def step(self, i: int, old: int, new: int):
-        """Coefficient i >= 1 moved from value old to value new."""
-        self.key += (new % self.p - old % self.p) * self.places[i]
-
-    def row(self, a: int, b: int) -> int:
-        """Verdicts mod p of the row's tuples whose digit 0 has offsets
-        a..b-1, as the bytes of an int, low byte first."""
-        k, s = self.key, self.shift
-        seg = self.table[k:k + self.width]
-        return int.from_bytes((seg * self.reps)[s + a:s + b], "little")
+def _tile(table: bytearray, at: int, p: int, n: int,
+          j: int) -> bytes | bytearray:
+    """Verdicts of the n^j tuples whose coefficients below j run over Z/n,
+    coefficient 0 fastest, when coefficient i's residue c mod p adds c p^i
+    to the table index at: the p^j entries from at, tiled n/p times along
+    each coefficient."""
+    if j <= 1:
+        return table[at:at + p**j] * (n // p)**j
+    step = p**(j - 1)
+    return b"".join(_tile(table, at + c * step, p, n, j - 1)
+                    for c in range(p)) * (n // p)
 
 
 def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
-    """Separable tuples among indices [lo, hi) of the query's space."""
+    """Separable tuples among indices [lo, hi) of the query's space.
+
+    Index t is index base + t of the degree <= d space, base being n^d for
+    monic and exact and 0 for leq.  Composite n is walked in blocks of n^j
+    tuples, n^j <= max(_BLOCK, n): the peak memory is the tables' bytes
+    plus about three blocks, within 4 max(_BLOCK, n) bytes."""
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
     mode = Mode(mode)
     monic = mode is Mode.MONIC
     factors = Modulus(n).factors
-    # Coefficient i is first[i] + offset, offset in range(radix[i]); the
-    # leading one is fixed at 1 (monic), nonzero (exact) or free (leq).
-    lead = {Mode.MONIC: (1, 1), Mode.EXACT: (1, n - 1), Mode.LEQ: (0, n)}
+    base = 0 if mode is Mode.LEQ else n**d
+    lo, hi = base + lo, base + hi
     if factors == ((n, 1),):
-        # One window of the table over the field Z/n, from the first lead.
-        base = lead[mode][0] * n**d
-        return _sieve(n, d, base + lo, base + hi).count(1)
-    first = [0] * d + [lead[mode][0]]
-    radix = [n] * d + [lead[mode][1]]
-    offsets, t = [], lo
-    for r in radix:
-        t, j = divmod(t, r)
-        offsets.append(j)
-    coeffs = [f + j for f, j in zip(first, offsets)]
-    primes = [_PrimeWalk(p, d, monic, first[0], radix[0], coeffs)
-              for p, _ in factors]
-    count, t = 0, lo
-    while t < hi:
-        a = offsets[0]
-        b = min(radix[0], a + hi - t)
+        return _sieve(n, d, lo, hi).count(1)
+    # The largest j with n^j <= _BLOCK, but at least 1, and no more than
+    # the free coefficients: coefficients 0 .. j - 1 run over a block.
+    top = d if monic else d + 1
+    j = min(top, 1)
+    while j < top and n**(j + 1) <= _BLOCK:
+        j += 1
+    # A monic table is the window [p^d, 2 p^d) of the degree <= d table.
+    tables = [(p, _sieve(p, d, p**d, 2 * p**d) if monic else _sieve(p, d),
+               p**d if monic else 0) for p, _ in factors]
+    size, count = n**j, 0
+    for block in range(lo // size, -(-hi // size)):
+        at = block * size
+        high = [block // n**k % n for k in range(d + 1 - j)]  # c_j .. c_d
         bits = -1
-        for walk in primes:
-            bits &= walk.row(a, b)
+        for p, table, first in tables:
+            key = sum(c % p * p**(j + k) for k, c in enumerate(high)) - first
+            bits &= int.from_bytes(  # the block's verdicts freed once read
+                _tile(table, key, p, n, j)[max(lo - at, 0):hi - at], "little")
         count += bits.bit_count()
-        t += b - a
-        offsets[0] = 0
-        for i in range(1, len(radix)):
-            old = coeffs[i]
-            j = offsets[i] = (offsets[i] + 1) % radix[i]
-            new = coeffs[i] = first[i] + j
-            for walk in primes:
-                walk.step(i, old, new)
-            if j:
-                break
     return count
 
 

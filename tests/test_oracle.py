@@ -2,6 +2,7 @@ import itertools
 import sys
 import tracemalloc
 import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,12 @@ def queries(draw):
     return n, d, mode, space_size(n, d, mode)
 
 
+def block_caps(n):
+    """Caps on the composite walk's block, so that blocks of every size n^j
+    the space allows, and their edges, fall inside a drawn space."""
+    return st.sampled_from([1, n, n**2, n**3])
+
+
 class TestWalkProperties:
     @settings(max_examples=150, deadline=None)
     @given(queries(), st.data())
@@ -262,8 +269,9 @@ class TestWalkProperties:
         lo = data.draw(st.integers(min_value=0, max_value=size))
         hi = data.draw(st.integers(min_value=lo,
                                    max_value=min(size, lo + 400)))
-        assert count_range(n, d, mode, lo, hi) == reference_count(
-            n, d, mode, lo, hi)
+        with mock.patch.object(oracle, "_BLOCK", data.draw(block_caps(n))):
+            count = count_range(n, d, mode, lo, hi)
+        assert count == reference_count(n, d, mode, lo, hi)
 
     @settings(max_examples=100, deadline=None)
     @given(queries(), st.data())
@@ -272,9 +280,46 @@ class TestWalkProperties:
         cuts = sorted(data.draw(st.lists(
             st.integers(min_value=0, max_value=size), max_size=6)))
         bounds = [0] + cuts + [size]
-        parts = [count_range(n, d, mode, lo, hi)
-                 for lo, hi in zip(bounds, bounds[1:])]
+        with mock.patch.object(oracle, "_BLOCK", data.draw(block_caps(n))):
+            parts = [count_range(n, d, mode, lo, hi)
+                     for lo, hi in zip(bounds, bounds[1:])]
         assert sum(parts) == count_range(n, d, mode, 0, size)
+
+    @pytest.mark.parametrize("n, d", [(6, 5), (30, 3)])
+    def test_work_follows_blocks(self, n, d):
+        # The walk's Python work is per block of n^j tuples and per p
+        # table entries of each prime's tiling, not per row of n tuples.
+        size = space_size(n, d, Mode.LEQ)
+        count, lines = lines_run(count_range, n, d, Mode.LEQ, 0, size,
+                                 also=[oracle._tile])
+        assert count == census.count(Modulus(n), d, Mode.LEQ).count
+        assert size >= 10 * lines
+
+    @pytest.mark.parametrize("n, d", [(6, 8), (30, 4)])
+    def test_walk_memory(self, n, d):
+        # Each prime's table, and a few blocks of at most max(_BLOCK, n)
+        # bytes: the 10^7 tuples are never held at once.
+        tables = sum(p**(d + 1) for p, _ in Modulus(n).factors)
+        size = space_size(n, d, Mode.LEQ)
+        tracemalloc.start()
+        try:
+            count = count_range(n, d, Mode.LEQ, 0, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == census.count(Modulus(n), d, Mode.LEQ).count
+        assert peak <= tables + 4 * max(oracle._BLOCK, n)
+
+    @pytest.mark.parametrize("d, mode", [(0, Mode.LEQ), (1, Mode.MONIC)])
+    def test_modulus_above_block(self, d, mode):
+        # n > _BLOCK: a block still spans coefficient 0, so the n tuples
+        # take a few steps, not one each.
+        n = 2 * 3 * 174763
+        assert n > oracle._BLOCK
+        count, lines = lines_run(count_range, n, d, mode, 0, n,
+                                 also=[oracle._tile])
+        assert count == census.count(Modulus(n), d, mode).count
+        assert lines < 200
 
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -289,13 +334,15 @@ def kernel_table(p, d, lo, hi):
         for t in range(lo, hi))
 
 
-def lines_run(func, *args):
-    """func(*args) and the number of lines run in func's own frame."""
+def lines_run(func, *args, also=()):
+    """func(*args) and the number of lines run in the frames of func and of
+    the functions in also."""
+    codes = {f.__code__ for f in (func, *also)}
     lines = 0
 
     def trace(frame, event, arg):
         nonlocal lines
-        if frame.f_code is not func.__code__:
+        if frame.f_code not in codes:
             return None
         if event == "line":
             lines += 1
