@@ -3,8 +3,9 @@
 Two routes are provided and cross-checked against each other:
 
 * the trace-form discriminant for monic polynomials (the determinant over
-  Z/n, by elimination, of the matrix of traces of the multiplication
-  operators x^(i+j) on Z/n[x]/f; separable iff it is a unit), and
+  Z/n of the matrix of traces of the multiplication operators x^(i+j) on
+  Z/n[x]/f, by elimination over rows packed one to an int, one big-int
+  multiply-add per row per pivot; separable iff it is a unit), and
 * the general pipeline for arbitrary polynomials: split Z/n into its
   prime-power components, reduce each component mod p, and check that the
   reduction is coprime to its derivative over the field Z/p.
@@ -50,44 +51,60 @@ def trace_form(f: PolyZn) -> tuple[tuple[int, ...], ...]:
 
 
 def _det_mod(matrix, n: int) -> int:
-    """Determinant of a square matrix over Z/n, in [0, n), by elimination
-    with every entry kept in [0, n). In each column a unit, swapped up,
-    clears the rows below it. A column without one is cleared by Euclid:
-    for pivot x and entry b, g = gcd(x, b) = s x + t b, rows (u, v) become
+    """Determinant of an N x N matrix over Z/n, in [0, n), by elimination
+    over packed rows: a row is one int whose W-bit slot j holds column j,
+    with W the bit length of N n^2 + n.
+
+    Each step swaps a pivot x of least gcd(x, n) into the top row, reduces
+    that row into [0, n), and gives each row below one multiply-add, row +
+    c top with c in [0, n), that makes its first slot a multiple of n; that
+    slot is then dropped (>> W). Only the next first slot is read and
+    reduced. A slot starts below n and each step adds less than n^2, so it
+    stays below N n^2 + n < 2^W: no carry crosses into the next slot.
+
+    Such a c exists when x divides the entry b below it mod n, as a unit
+    does, and as a pivot of least gcd does when n is a prime power. A row
+    where it does not is first paired with the top row by Euclid, on
+    unpacked rows: for g = gcd(x, b) = s x + t b, rows (u, v) become
     (s u + t v, (x/g) v - (b/g) u), a map of determinant 1 over Z. The
     result is the signed product of the pivots, 0 once that product is."""
-    rows = [list(row) for row in matrix]
+    w = (len(matrix) * n * n + n).bit_length()
+    mask = (1 << w) - 1
+    rows = [sum(x % n << w * j for j, x in enumerate(row)) for row in matrix]
     det = 1
     while rows and det:
-        i = 0 if math.gcd(rows[0][0], n) == 1 else next(
-            (i for i, row in enumerate(rows) if math.gcd(row[0], n) == 1), None)
-        if i is None:
-            for r in range(1, len(rows)):
-                u, v = rows[0], rows[r]
-                x, b = u[0], v[0]
-                if b:
+        if (size := len(rows)) == 1:
+            return det * rows[0] % n
+        if math.gcd(rows[0] & mask, n) > 1:
+            i = min(range(size), key=lambda r: math.gcd(rows[r] & mask, n))
+            rows[0], rows[i], det = rows[i], rows[0], -det if i else det
+        top = rows[0]
+        if math.gcd(x := (top & mask) % n, n) == 1:
+            top = sum((top >> w * j & mask) % n << w * j for j in range(size))
+        else:
+            top = [(top >> w * j & mask) % n for j in range(size)]
+            for r in range(1, size):
+                x, b = top[0], (rows[r] & mask) % n
+                if b % math.gcd(x, n):  # x does not divide b: Euclid
+                    v = [(rows[r] >> w * j & mask) % n for j in range(size)]
                     g = math.gcd(x, b)
                     s = pow(x // g, -1, b // g) if b > g else 1
                     t = (g - s * x) // b
                     x, b = x // g, b // g
-                    rows[r] = [(x * q - b * p) % n for p, q in zip(u, v)]
-                    if t:  # else s = 1: x divides b and row 0 stays
-                        rows[0] = [(s * p + t * q) % n for p, q in zip(u, v)]
-        elif i:
-            rows[0], rows[i] = rows[i], rows[0]
-            det = -det
-        pivot, top = rows[0][0], rows[0][1:]
-        inv = 0 if i is None else pow(pivot, -1, n)
-        det = det * pivot % n
-        rows = [[(e - m * p) % n for e, p in zip(row[1:], top)]
-                if (m := row[0] * inv % n) else row[1:] for row in rows[1:]]
+                    rows[r] = sum((x * q - b * p) % n << w * j
+                                  for j, (p, q) in enumerate(zip(top, v)))
+                    top = [(s * p + t * q) % n for p, q in zip(top, v)]
+            x, top = top[0], sum(e << w * j for j, e in enumerate(top))
+        m = n // (k := math.gcd(x, n))
+        inv, det = -pow(x // k, -1, m) % m, det * x % n
+        rows = [r + (r & mask) % n // k * inv % m * top >> w for r in rows[1:]]
     return det
 
 
-# disc's bound: a degree N trace form modulo a b-bit n costs about N^3 row
-# steps, each dearer as b grows, and N^3 (b + 32 + b^2 // 768) must stay
-# within MAX_DET_WORK. On a 2-vCPU host the slowest inputs found at the
-# bound answer in about 2.5 s as a process.
+# disc's bound: a degree N trace form modulo a b-bit n costs about N^2 / 2
+# multiply-adds on rows of N slots, each dearer as b grows; N^3 (b + 32 +
+# b^2 // 768) must stay within MAX_DET_WORK, left as it was. On a 2-vCPU host
+# the slowest inputs found at the bound answer in about 1.4 s as a process.
 MAX_DET_WORK = 1_500_000_000
 
 

@@ -1,5 +1,4 @@
 import itertools
-import sys
 import tracemalloc
 import types
 from unittest import mock
@@ -20,6 +19,8 @@ from sepzn.oracle import (
 )
 from sepzn.poly import PolyZn
 from sepzn.septest import _separable_coeffs_mod_p, is_separable
+
+from tracing import lines_run
 
 
 @pytest.fixture
@@ -332,29 +333,6 @@ def kernel_table(p, d, lo, hi):
     return bytearray(
         _separable_coeffs_mod_p([t // p**i % p for i in range(d + 1)], p)
         for t in range(lo, hi))
-
-
-def lines_run(func, *args, also=()):
-    """func(*args) and the number of lines run in the frames of func and of
-    the functions in also."""
-    codes = {f.__code__ for f in (func, *also)}
-    lines = 0
-
-    def trace(frame, event, arg):
-        nonlocal lines
-        if frame.f_code not in codes:
-            return None
-        if event == "line":
-            lines += 1
-        return trace
-
-    before = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        value = func(*args)
-    finally:
-        sys.settrace(before)
-    return value, lines
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from sepzn.septest import (
     is_separable_monic,
     trace_form,
 )
+
+from tracing import lines_run
 
 
 def monic_polys(n, deg):
@@ -194,16 +197,35 @@ class TestDiscriminant:
             discriminant(parse("2x^2+1", Modulus(6)))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(sorted(DET_MODULI)), st.integers(1, 8), st.data())
+    @given(st.sampled_from(sorted(DET_MODULI)), st.integers(1, 16), st.data())
     def test_det_mod_matches_rational_determinant(self, n, size, data):
         # Entries near 0, p, p^2 and n - 1 leave columns without a unit,
         # which the elimination clears by Euclid.
         near = sorted({e % n for p in DET_MODULI[n]
                        for e in (0, 1, p, p * p, n - 1, n - p)})
         entry = st.one_of(st.sampled_from(near), st.integers(0, n - 1))
-        matrix = data.draw(st.lists(st.lists(entry, min_size=size,
-                                             max_size=size),
-                                    min_size=size, max_size=size))
+        if data.draw(st.booleans()):
+            matrix = data.draw(st.lists(st.lists(entry, min_size=size,
+                                                 max_size=size),
+                                        min_size=size, max_size=size))
+        else:
+            # L U, with U unit upper triangular with a draw near n - 1 above
+            # its diagonal and L unit lower triangular with its negation
+            # below: the elimination's multipliers and pivot rows are then
+            # near n - 1, and each step grows a packed slot by nearly
+            # (n - 1)^2, the most it can.
+            big = data.draw(st.lists(st.integers(max(0, n - 3), n - 1),
+                                     min_size=size * size,
+                                     max_size=size * size))
+
+            def lower(i, k):
+                return -big[i * size + k] if k < i else int(k == i)
+
+            def upper(k, j):
+                return big[k * size + j] if j > k else int(j == k)
+
+            matrix = [[sum(lower(i, k) * upper(k, j) for k in range(size)) % n
+                       for j in range(size)] for i in range(size)]
         assert _det_mod(matrix, n) == rational_det(matrix) % n
 
     @pytest.mark.parametrize("degree", [16, 64, 128])
@@ -216,16 +238,34 @@ class TestDiscriminant:
             f = PolyZn(m, (c, b) + (0,) * (degree - 2) + (1,))
             assert discriminant(f) == trinomial_disc(degree, b, c) % n
 
-    def test_bound_is_exact(self):
-        # For a 10-bit n the bound is degree^3 * (10 + 32) <= MAX_DET_WORK;
-        # the refusal names the largest degree accepted.
-        m = Modulus(1009)
-        largest = max(d for d in range(1, 400)
-                      if d**3 * (10 + 32) <= MAX_DET_WORK)
+    @pytest.mark.parametrize("n, largest", [
+        (1009, 329), (2**61 - 1, 249), (2**1000, 86), (10**4299, 17),
+    ], ids=["1009", "2^61-1", "2^1000", "10^4299"])
+    def test_bound_is_exact(self, n, largest):
+        # For a b-bit n the bound is degree^3 (b + 32 + b^2 // 768) <=
+        # MAX_DET_WORK; the refusal names the largest degree accepted. The
+        # four n give slots of 29 to about 28,600 bits, and 2^1000 and
+        # 10^4299 leave columns without a unit.
+        bits = n.bit_length()
+        step = bits + 32 + bits * bits // 768
+        assert largest == max(d for d in range(1, 400)
+                              if d**3 * step <= MAX_DET_WORK)
+        m = Modulus(n)
         f = PolyZn(m, (1, 3) + (0,) * (largest - 2) + (1,))
-        assert discriminant(f) == trinomial_disc(largest, 3, 1) % 1009
+        assert discriminant(f) == trinomial_disc(largest, 3, 1) % n
         with pytest.raises(DomainError, match=f"degree <= {largest} "):
             discriminant(PolyZn(m, (1, 3) + (0,) * (largest - 1) + (1,)))
+
+    @pytest.mark.parametrize("n", [999983, 1001])
+    def test_det_mod_work_is_quadratic(self, n):
+        # One multiply-add per row per pivot: the lines run, comprehensions
+        # included, grow as N^2 on a dense trace form, not as the N^3 / 3
+        # entry steps of an elimination entry by entry (23 N^2 at N = 64).
+        rng = random.Random(n)
+        f = PolyZn(Modulus(n), [rng.randrange(n) for _ in range(64)] + [1])
+        det, lines = lines_run(_det_mod, trace_form(f), n)
+        assert (math.gcd(det, n) == 1) == is_separable(f)
+        assert lines < 6 * 64**2
 
 
 class TestSeparabilityMonic:
@@ -273,6 +313,24 @@ class TestSeparabilityGeneral:
             for deg in (1, 2, 3):
                 for f in monic_polys(n, deg):
                     assert is_separable_monic(f) == is_separable(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(DET_MODULI)), st.integers(4, 24),
+           st.data())
+    def test_criteria_agree_beyond_degree_three(self, n, deg, data):
+        # The packed elimination on real trace forms against the gcd route.
+        # Coefficients near 0, p and n - 1 and a square factor g^2 make
+        # inseparable f common.
+        near = sorted({e % n for p in DET_MODULI[n]
+                       for e in (0, 1, p, p * p, n - 1, n - p)})
+        coeff = st.one_of(st.sampled_from(near), st.integers(0, n - 1))
+        low = data.draw(st.lists(coeff, min_size=deg, max_size=deg))
+        f = PolyZn(Modulus(n), low + [1])
+        if data.draw(st.booleans()):
+            g = PolyZn(Modulus(n), data.draw(st.lists(
+                coeff, min_size=1, max_size=deg // 2 - 1)) + [1])
+            f = g * g * PolyZn(Modulus(n), low[:deg - 2 * g.degree] + [1])
+        assert is_separable_monic(f) == is_separable(f)
 
     def test_reduction_criterion_prime_powers(self):
         # monic f over Z/p^k is separable iff f mod p is separable over Z/p
