@@ -9,9 +9,9 @@ criterion Carlitz counts).  So the verdicts mod p come from a square sieve,
 with no gcd: one byte per polynomial of degree <= d, at index sum c_i p^i,
 all 1 but the zero polynomial and every multiple of a g^2 marked 0.  The
 multiples of g^2 are indexed by their coefficients from x^(2e) up, e the
-degree of g, so those in a window of the table are a run of them.  The
-monic polynomials of degree d are the window [p^d, 2 p^d), the exact-degree
-ones [p^d, p^(d + 1)).
+degree of g, so those in a window of the table are a run of them, and each
+g is set up only for the steps of its run.  The monic polynomials of
+degree d are the window [p^d, 2 p^d), the exact-degree ones [p^d, p^(d + 1)).
 
 Index t of a mode's space is index base + t of the degree <= d space,
 whose index sum c_i n^i has coefficient 0 as its lowest digit; base is n^d
@@ -61,7 +61,8 @@ class BudgetExceeded(Exception):
 def _sieve(p: int, d: int, lo: int = 0, hi: int | None = None) -> bytearray:
     """Separability over Z/p of the polynomials f of degree <= d with table
     indices sum f_i p^i in [lo, hi) (by default the whole table), one byte
-    each.  The work follows hi - lo."""
+    each.  The work is the window's marks plus, for each monic g of degree
+    e <= d/2, only the steps its run of multiples in the window needs."""
     hi = p**(d + 1) if hi is None else hi
     table = bytearray(b"\1") * max(hi - lo, 0)
     if lo == 0 < hi:
@@ -73,26 +74,38 @@ def _sieve(p: int, d: int, lo: int = 0, hi: int | None = None) -> bytearray:
         # m p^(2e) + sum R_k p^k, so only m in [first, last) reach [lo, hi).
         block, place = p**(2 * e), [p**k for k in range(2 * e)]
         first, last = lo // block, min(-(-hi // block), p**(d - 2 * e + 1))
-        for low in itertools.product(range(p), repeat=e):
-            g = (*low, 1)
-            s = r = [sum(g[i] * g[k - i] for i in range(max(0, k - e),
-                                                       min(k, e) + 1)) % p
+        # Steps to m in (first, last) wrap m_0 .. m_(j-1), p^j exactly dividing
+        # m, j <= j_max (-1: none); R at first is sum m_j r_j over its digits.
+        j_max = sum((last - 1) // p**j > first // p**j for j in range(d)) - 1
+        digits = [first // p**j % p for j in range(d) if first >= p**j]
+        top = max(j_max + 1, len(digits))
+        # g in W-bit slots, squared once: a coefficient of g^2 sums at most
+        # e products of low coefficients, twice one of them (times the lead)
+        # and 1, so it is at most e(p - 1)^2 + 2(p - 1) + 1 < 2^W: no carry.
+        width = (e * (p - 1)**2 + 2 * (p - 1) + 1).bit_length()
+        mask = (1 << width) - 1
+        slots = [range(0, p << width * i, 1 << width * i) for i in range(e)]
+        for g in map(sum, itertools.product(*slots, [1 << width * e])):
+            g *= g
+            s = r = [(g >> width * k & mask) % p
                      for k in range(2 * e)]  # g^2 below its lead
             # r_j = -(x^(2e + j) mod g^2), so R = sum m_j r_j.  Where m_0 ..
             # m_(j-1) wrap to 0 and m_j goes up, R moves by r_0 + ... + r_j:
             # R_k by c, the index by c p^k ((c - p) p^k on wrap).
             rem, up, moves = [0] * (2 * e), [0] * (2 * e), []
-            for j in range(d - 2 * e + 2):
-                m_j = first // p**j % p
-                rem = [(a + m_j * b) % p for a, b in zip(rem, r)]  # at first
-                up = [(a + b) % p for a, b in zip(up, r)]
-                moves.append([(k, c, c * place[k], (c - p) * place[k])
-                              for k, c in enumerate(up) if c])
-                r = [(a - r[-1] * b) % p for a, b in zip([0, *r], s)]
+            for j in range(top):
+                if j < len(digits) and digits[j]:  # R at first
+                    rem = [(a + digits[j] * b) % p for a, b in zip(rem, r)]
+                if j <= j_max:
+                    up = [(a + b) % p for a, b in zip(up, r)]
+                    moves.append([(k, c, c * place[k], (c - p) * place[k])
+                                  for k, c in enumerate(up) if c])
+                if j + 1 < top:
+                    r = [(a - r[-1] * b) % p for a, b in zip([0, *r], s)]
             t = first * block + sum(c * q for c, q in zip(rem, place)) - lo
-            for m in range(first + 1, last + 1):  # mark m - 1, step to m
-                if 0 <= t < size:
-                    table[t] = 0
+            if 0 <= t < size:
+                table[t] = 0
+            for m in range(first + 1, last):  # step to m, mark it
                 q, j = m, 0
                 while q % p == 0:  # m_0 .. m_(j-1) wrapped to 0
                     q, j = q // p, j + 1
@@ -103,6 +116,8 @@ def _sieve(p: int, d: int, lo: int = 0, hi: int | None = None) -> bytearray:
                         rem[k], t = v, t + step
                     else:
                         rem[k], t = v - p, t + wrap
+                if t < size:
+                    table[t] = 0
     return table
 
 

@@ -337,10 +337,10 @@ def kernel_table(p, d, lo, hi):
 
 @st.composite
 def tables(draw):
-    # A whole table of at most 13^5 entries; else (degree 5, p >= 11) the
-    # monic window [p^5, 2 p^5).
+    # A whole table of at most 13^5 entries; else (degree 5 for p >= 11,
+    # 6 for p = 7 and 7 for p = 5) the monic window [p^d, 2 p^d).
     p = draw(st.sampled_from(PRIMES))
-    d = draw(st.integers(min_value=0, max_value=5))
+    d = draw(st.sampled_from([d for d in range(8) if p**d <= 13**5]))
     size = p**(d + 1)
     return (p, d, 0, size) if size <= 13**5 else (p, d, p**d, 2 * p**d)
 
@@ -355,20 +355,50 @@ class TestSieve:
             lo, hi = (p**d, 2 * p**d) if monic else (0, p**(d + 1))
             assert oracle._sieve(p, d, lo, hi) == kernel_table(p, d, lo, hi)
 
-    @settings(max_examples=80, deadline=None)
+    @pytest.mark.parametrize("p, d, monic", [
+        (2, 6, True), (3, 6, True), (5, 6, True), (2, 7, True), (3, 7, True),
+        (2, 5, False), (3, 5, False), (2, 6, False), (3, 6, False)])
+    def test_degree_three_squares_match_gcd_kernel(self, p, d, monic):
+        # The whole tables of degree 5 and 6 and the monic windows of
+        # degree 6 and 7 that the test above leaves out: from degree 6 on
+        # they take the squares of g of degree 3, packed in the widest slots.
+        lo, hi = (p**d, 2 * p**d) if monic else (0, p**(d + 1))
+        assert oracle._sieve(p, d, lo, hi) == kernel_table(p, d, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
     @given(tables(), st.data())
     def test_window_matches_whole_table(self, table, data):
-        # p <= 13 and degree <= 5: a window sieved alone marks what the
+        # p <= 13 and degree <= 7: a window sieved alone marks what the
         # table around it marks, wherever it starts and ends, the monic and
-        # exact base p^d and the monic end 2 p^d among them.
+        # exact base p^d and the monic end 2 p^d among them.  The multiples
+        # of the squares of degree e run in blocks of p^(2e): a window from
+        # k p^(2e) + {-1, 0, 1} to the block k, k + 1 or k + 2 holds 0, 1 or
+        # 2 multiples of each g^2, and one to the next multiple of p^i above
+        # k ends just past a step that wraps i digits of the run.
         p, d, start, end = table
+        e = data.draw(st.integers(min_value=1, max_value=max(1, d // 2)))
+        block = p**(2 * e)
+
+        def near(k_off, floor):
+            return min(max(k_off[0] * block + k_off[1], floor), end)
+
         edges = [x for x in (0, p**d, 2 * p**d, p**(d + 1))
                  if start <= x <= end]
-        lo = data.draw(st.one_of(st.sampled_from(edges),
-                                 st.integers(min_value=start, max_value=end)))
+        offsets = st.sampled_from([-1, 0, 1])
+        lo = data.draw(st.one_of(
+            st.sampled_from(edges),
+            st.integers(min_value=start, max_value=end),
+            st.tuples(st.integers(min_value=start // block,
+                                  max_value=end // block),
+                      offsets).map(lambda k_off: near(k_off, start))))
+        k = lo // block
+        ks = [k, k + 1, k + 2,
+              *((k // p**i + 1) * p**i for i in range(1, d - 2 * e + 1))]
         hi = data.draw(st.one_of(
             st.sampled_from([x for x in edges if x >= lo]),
-            st.integers(min_value=lo, max_value=end)))
+            st.integers(min_value=lo, max_value=end),
+            st.tuples(st.sampled_from(ks),
+                      offsets).map(lambda k_off: near(k_off, lo))))
         whole = oracle._sieve(p, d, start, end)
         assert len(whole) == end - start
         assert oracle._sieve(p, d, lo, hi) == whole[lo - start:hi - start]
@@ -376,11 +406,23 @@ class TestSieve:
     def test_work_follows_the_window(self):
         # 2000 entries far into a table of 1009^3: the sieve visits only
         # the multiples of each of the 1009 squares g^2 that reach them, one
-        # or two each, not the 1009 multiples of each below them.
+        # or two each, not the 1009 multiples of each below them, and sets
+        # up each g only as far as those steps go (about 28 lines per g).
         lo = 5 * 10**8 + 12345
         window, lines = lines_run(oracle._sieve, 1009, 2, lo, lo + 2000)
         assert window == kernel_table(1009, 2, lo, lo + 2000)
         assert lines < 100 * 1009
+        assert lines < 40 * 1009
+
+    def test_setup_follows_the_steps(self):
+        # The monic quartics mod 7: 49 multiples of each of the 7 squares
+        # of degree 1 and 1 of each of the 49 of degree 2.  Each g builds
+        # the steps its run takes and the powers its first multiple needs,
+        # no more: about 7,200 lines.
+        lo, hi = 7**4, 2 * 7**4
+        window, lines = lines_run(oracle._sieve, 7, 4, lo, hi)
+        assert window == kernel_table(7, 4, lo, hi)
+        assert lines < 10000
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(PRIMES), st.sampled_from(list(Mode)), st.data())
