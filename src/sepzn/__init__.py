@@ -1,14 +1,13 @@
 """Separable polynomials over Z/n: decision procedures, exact counting
 formulas, and a brute-force enumeration oracle that verifies them."""
 
-from .arith import DomainError, Modulus, factorize, totient
+from .arith import DomainError, Modulus, totient
 from .census import (
     CountResult,
     Mode,
     count,
     count_leq_recurrence,
     count_monic_separable,
-    count_monic_separable_primepower,
     count_separable_exact,
     count_separable_leq,
     count_separable_leq_primepower,
@@ -22,16 +21,15 @@ from .oracle import (
     enumerate_count,
     verify,
 )
-from .poly import PolyParseError, PolyZn, format_poly, parse
+from .poly import PolyParseError, PolyZn, parse
 from .septest import discriminant, is_separable, is_separable_monic, trace_form
 
 __all__ = [
     "BudgetExceeded", "CountResult", "DomainError", "Mode", "Modulus",
     "PolyParseError", "PolyZn", "VerificationReport",
     "count", "count_leq_recurrence", "count_monic_separable",
-    "count_monic_separable_primepower", "count_separable_exact",
-    "count_separable_leq", "count_separable_leq_primepower",
-    "crt_product_count", "discriminant", "enumerate_count", "factorize",
-    "format_poly", "geometric_sum", "is_separable", "is_separable_monic",
+    "count_separable_exact", "count_separable_leq",
+    "count_separable_leq_primepower", "crt_product_count", "discriminant",
+    "enumerate_count", "geometric_sum", "is_separable", "is_separable_monic",
     "parse", "proportion_monic_separable", "totient", "trace_form", "verify",
 ]

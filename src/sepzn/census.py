@@ -34,11 +34,6 @@ class CountResult:
     count: int
     total: int
 
-    @property
-    def proportion(self) -> Fraction:
-        """The exact proportion count/total."""
-        return Fraction(self.count, self.total)
-
 
 # Python renders an int of at most 4300 digits as a string, and every count
 # and set size is printed as one; no count is taken over a larger set.

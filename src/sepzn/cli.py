@@ -48,9 +48,10 @@ def _rational(key: str, numerator: int, denominator: int,
     numerator, denominator = numerator // g, denominator // g
     fields = {key: f"{numerator}/{denominator}"}
     if decimal is not None:
-        if decimal > census.MAX_DIGITS:
-            raise DomainError(f"--decimal must be <= {census.MAX_DIGITS}, "
-                              f"got {decimal}")
+        if not 0 <= decimal <= census.MAX_DIGITS:
+            accepted = "<= " if decimal > 0 else "in 0.."
+            raise DomainError(f"--decimal must be {accepted}"
+                              f"{census.MAX_DIGITS}, got {decimal}")
         whole, rest = divmod(numerator, denominator)
         fields["decimal"] = str(whole)
         if decimal > 0:
@@ -263,7 +264,7 @@ def run(argv: list[str]) -> int:
     except PolyParseError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (DomainError, oracle.BudgetExceeded) as e:
+    except DomainError as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 2
 

@@ -16,16 +16,17 @@ degree d are the window [p^d, 2 p^d), the exact-degree ones [p^d, p^(d + 1)).
 Index t of a mode's space is index base + t of the degree <= d space,
 whose index sum c_i n^i has coefficient 0 as its lowest digit; base is n^d
 for the monic and exact sets and 0 for the leq set.  For prime n a count
-over indices [lo, hi) is the number of ones in one table window, and only
-that window (hi - lo bytes) is built and sieved.  Composite n is walked in
-blocks of n^j tuples that share coefficients j and up.  For each prime
-p | n those coefficients reduced mod p fix a run of p^j table entries, and
-the block's verdicts mod p are that run tiled n/p times along each
-coefficient below j; a tuple counts where every prime's verdict is 1.  The
-distinct primes of a composite n sum to at most n - 1, so the tables hold
-no more bytes than the space has tuples: the budget bounds memory as well
-as time.  Ranges of the space run on parallel workers, each sieving its
-own tables, and their counts are summed.
+over indices [lo, hi) is the number of ones in one table window, sieved a
+chunk of max(4 _BLOCK, number of monic g of degree <= d/2) entries at a
+time, however wide the window.  Composite n is walked in blocks of n^j
+tuples that share coefficients j and up.  For each prime p | n those
+coefficients reduced mod p fix a run of p^j table entries, and the block's
+verdicts mod p are that run tiled n/p times along each coefficient below
+j; a tuple counts where every prime's verdict is 1.  The distinct primes
+of a composite n sum to at most n - 1, so the tables hold no more bytes
+than the space has tuples: the budget bounds memory as well as time.
+Ranges of the space run on parallel workers, each sieving its own tables,
+and their counts are summed.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ DEFAULT_BUDGET = 10**8
 _BLOCK = 2**20
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(DomainError):
     """The query needs more separability tests than the budget allows."""
 
     def __init__(self, required: int, budget: int):
@@ -138,9 +139,10 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
     """Separable tuples among indices [lo, hi) of the query's space.
 
     Index t is index base + t of the degree <= d space, base being n^d for
-    monic and exact and 0 for leq.  Composite n is walked in blocks of n^j
-    tuples, n^j <= max(_BLOCK, n): the peak memory is the tables' bytes
-    plus about three blocks, within 4 max(_BLOCK, n) bytes."""
+    monic and exact and 0 for leq.  Prime n holds one table chunk at a time.
+    Composite n is walked in blocks of n^j tuples, n^j <= max(_BLOCK, n):
+    the peak memory is the tables' bytes plus about three blocks, within
+    4 max(_BLOCK, n) bytes."""
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
     mode = Mode(mode)
@@ -149,7 +151,11 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
     base = 0 if mode is Mode.LEQ else n**d
     lo, hi = base + lo, base + hi
     if factors == ((n, 1),):
-        return _sieve(n, d, lo, hi).count(1)
+        # No fewer entries than monic g of degree <= d/2: each chunk sets up
+        # every g again.
+        step = max(4 * _BLOCK, sum(n**e for e in range(1, d // 2 + 1)))
+        return sum(_sieve(n, d, a, min(a + step, hi)).count(1)
+                   for a in range(lo, hi, step))
     # The largest j with n^j <= _BLOCK, but at least 1, and no more than
     # the free coefficients: coefficients 0 .. j - 1 run over a block.
     top = d if monic else d + 1

@@ -84,34 +84,28 @@ class PolyZn:
                     out[i + j] += a * b
         return PolyZn(self.modulus, out)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (isinstance(other, PolyZn) and self.modulus == other.modulus
                 and self.coeffs == other.coeffs)
 
     def __str__(self):
-        return format_poly(self)
+        """The input grammar, highest degree first, e.g. '3x^2+x+5'."""
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for e in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[e]
+            if c == 0:
+                continue
+            if e == 0:
+                parts.append(str(c))
+            else:
+                x = "x" if e == 1 else f"x^{e}"
+                parts.append(x if c == 1 else f"{c}{x}")
+        return "+".join(parts)
 
     def __repr__(self):
-        return f"PolyZn({format_poly(self)!r} mod {self.modulus.n})"
-
-
-def format_poly(f: PolyZn) -> str:
-    """Render in the input grammar, highest degree first, e.g. '3x^2+x+5'."""
-    if not f.coeffs:
-        return "0"
-    parts = []
-    for e in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            x = "x" if e == 1 else f"x^{e}"
-            parts.append(x if c == 1 else f"{c}{x}")
-    return "+".join(parts)
+        return f"PolyZn({str(self)!r} mod {self.modulus.n})"
 
 
 def parse(text: str, modulus: Modulus) -> PolyZn:

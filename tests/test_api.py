@@ -8,10 +8,9 @@ PUBLIC = [
     "BudgetExceeded", "CountResult", "DomainError", "Mode", "Modulus",
     "PolyParseError", "PolyZn", "VerificationReport",
     "count", "count_leq_recurrence", "count_monic_separable",
-    "count_monic_separable_primepower", "count_separable_exact",
-    "count_separable_leq", "count_separable_leq_primepower",
-    "crt_product_count", "discriminant", "enumerate_count", "factorize",
-    "format_poly", "geometric_sum", "is_separable", "is_separable_monic",
+    "count_separable_exact", "count_separable_leq",
+    "count_separable_leq_primepower", "crt_product_count", "discriminant",
+    "enumerate_count", "geometric_sum", "is_separable", "is_separable_monic",
     "parse", "proportion_monic_separable", "totient", "trace_form", "verify",
 ]
 
@@ -24,6 +23,11 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in sepzn.__all__:
         assert getattr(sepzn, name) is not None
+
+
+def test_budget_refusal_is_a_domain_error():
+    # Every exit-2 refusal of the CLI is one exception class.
+    assert issubclass(sepzn.BudgetExceeded, sepzn.DomainError)
 
 
 def test_oracle_shares_no_code_with_septest():

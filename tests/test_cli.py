@@ -545,6 +545,18 @@ def test_rational_rendering_is_pinned(capsys, argv, expected):
         assert out == expected + "\n"
 
 
+@pytest.mark.parametrize("argv", ["count --mode monic -n 6 -d 1 --decimal -1",
+                                  "proportion -n 6 -d 2 --decimal -1"])
+def test_negative_decimal_is_refused(capsys, argv):
+    # Below the --decimal 0 rendered above: no number of places, so one
+    # line that names the accepted range and nothing on stdout.
+    assert cli.run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("domain error: --decimal must be in 0..4300, "
+                            "got -1\n")
+
+
 def reference_table(n_min, n_max, d_min, d_max, mode, fmt):
     """What `table` prints, built row by row with csv.writer or json.dumps
     of the record."""

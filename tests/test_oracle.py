@@ -1,6 +1,11 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -330,9 +335,17 @@ def kernel_table(p, d, lo, hi):
     """Verdicts of septest's gcd kernel on table indices [lo, hi) in the
     sieve's order: digit i of the index in base p is coefficient i of a
     polynomial of degree <= d."""
-    return bytearray(
-        _separable_coeffs_mod_p([t // p**i % p for i in range(d + 1)], p)
-        for t in range(lo, hi))
+    # The window lies in one run of p^k entries that share digits k and up;
+    # itertools.product runs the digits below k, its last (digit 0) fastest.
+    k = 0
+    while k <= d and lo // p**k != (hi - 1) // p**k:
+        k += 1
+    start = lo - lo % p**k
+    high = [start // p**i % p for i in range(k, d + 1)]
+    low = itertools.islice(itertools.product(range(p), repeat=k),
+                           lo - start, hi - start)
+    return bytearray(_separable_coeffs_mod_p([*t[::-1], *high], p)
+                     for t in low)
 
 
 @st.composite
@@ -452,3 +465,24 @@ class TestSieve:
             tracemalloc.stop()
         assert count == census.count(Modulus(101), 2, mode).count
         assert peak <= size + 64 * 1024
+
+    def test_raised_budget_keeps_prime_memory_bounded(self):
+        # 14143^2 = 2 10^8 tuples under a raised budget, as a process: the
+        # window is sieved in chunks, not held whole (209 MB RSS if it were).
+        # A fresh interpreter runs the command, so that the peak RSS of its
+        # children is the command's alone.
+        script = (
+            "import resource, subprocess, sys\n"
+            "out = subprocess.run([sys.executable, '-m', 'sepzn.cli', "
+            "'enumerate', '-n', '14143', '--mode', 'leq', '-d', '1', "
+            "'--budget', '300000000'], capture_output=True, text=True, "
+            "check=True).stdout\n"
+            "print(out, resource.getrusage(resource.RUSAGE_CHILDREN)"
+            ".ru_maxrss)\n")
+        src = str(Path(oracle.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        record, maxrss_kb = out.rsplit(None, 1)
+        assert json.loads(record)["result"]["value"] == 14143**2 - 1
+        assert int(maxrss_kb) < 64 * 1024

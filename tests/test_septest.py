@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -145,22 +144,24 @@ DET_MODULI = {
 }
 
 
-def rational_det(matrix):
-    """The integer determinant, by Gaussian elimination over Q."""
-    a = [[Fraction(e) for e in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(len(a)):
-        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+def integer_det(matrix):
+    """The integer determinant, by fraction-free elimination (Bareiss):
+    each step's entries are minors of the matrix, so every division by the
+    previous pivot is exact."""
+    a = [list(row) for row in matrix]
+    size, sign, previous = len(a), 1, 1
+    for c in range(size - 1):
+        pivot = next((r for r in range(c, size) if a[r][c]), None)
         if pivot is None:
             return 0
         if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, len(a)):
-            ratio = a[r][c] / a[c][c]
-            a[r] = [x - ratio * y for x, y in zip(a[r], a[c])]
-    return int(det)
+            a[c], a[pivot], sign = a[pivot], a[c], -sign
+        for r in range(c + 1, size):
+            a[r] = [0] * (c + 1) + [
+                (a[r][j] * a[c][c] - a[r][c] * a[c][j]) // previous
+                for j in range(c + 1, size)]
+        previous = a[c][c]
+    return sign * a[-1][-1]
 
 
 def trinomial_disc(degree, b, c):
@@ -198,7 +199,7 @@ class TestDiscriminant:
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(DET_MODULI)), st.integers(1, 16), st.data())
-    def test_det_mod_matches_rational_determinant(self, n, size, data):
+    def test_det_mod_matches_integer_determinant(self, n, size, data):
         # Entries near 0, p, p^2 and n - 1 leave columns without a unit,
         # which the elimination clears by Euclid.
         near = sorted({e % n for p in DET_MODULI[n]
@@ -226,7 +227,18 @@ class TestDiscriminant:
 
             matrix = [[sum(lower(i, k) * upper(k, j) for k in range(size)) % n
                        for j in range(size)] for i in range(size)]
-        assert _det_mod(matrix, n) == rational_det(matrix) % n
+        assert _det_mod(matrix, n) == integer_det(matrix) % n
+
+    @pytest.mark.parametrize("matrix, n, det", [
+        ([[2, 3], [3, 2]], 6, 1),
+        ([[7, 11], [11, 7]], 1001, 929),
+        ([[7, 11, 13], [11, 13, 7], [13, 7, 11]], 1001, 133),
+    ])
+    def test_det_mod_pairs_rows_by_euclid(self, matrix, n, det):
+        # The first column holds no unit, and its pivot of least gcd with n
+        # divides no entry below it: the first step pairs rows by Euclid.
+        assert integer_det(matrix) % n == det
+        assert _det_mod(matrix, n) == det
 
     @pytest.mark.parametrize("degree", [16, 64, 128])
     @pytest.mark.parametrize("n", [1009, 1001, 1024, 2**61 * 1009])
