@@ -53,7 +53,8 @@ def trace_form(f: PolyZn) -> tuple[tuple[int, ...], ...]:
 def _det_mod(matrix, n: int) -> int:
     """Determinant of an N x N matrix over Z/n, in [0, n), by elimination
     over packed rows: a row is one int whose W-bit slot j holds column j,
-    with W the bit length of N n^2 + n.
+    with W the bit length of N n^2 + n rounded up to whole bytes, so that a
+    row packs and unpacks through bytes in time linear in its length.
 
     Each step swaps a pivot x of least gcd(x, n) into the top row, reduces
     that row into [0, n), and gives each row below one multiply-add, row +
@@ -62,40 +63,36 @@ def _det_mod(matrix, n: int) -> int:
     reduced. A slot starts below n and each step adds less than n^2, so it
     stays below N n^2 + n < 2^W: no carry crosses into the next slot.
 
-    Such a c exists when x divides the entry b below it mod n, as a unit
-    does, and as a pivot of least gcd does when n is a prime power. A row
-    where it does not is first paired with the top row by Euclid, on
-    unpacked rows: for g = gcd(x, b) = s x + t b, rows (u, v) become
-    (s u + t v, (x/g) v - (b/g) u), a map of determinant 1 over Z. The
-    result is the signed product of the pivots, 0 once that product is."""
-    w = (len(matrix) * n * n + n).bit_length()
+    Such a c exists when k = gcd(x, n) divides every entry b below x, as
+    it does when x is a unit or n a prime power. Otherwise n is split at
+    the first b that k does not divide, with no factorization: u is the
+    part of n at the primes where k has more factors than b, and v = n / u.
+    As x has the least gcd in its column, b cannot have fewer factors at
+    every prime, so 1 < u < n. The rows left are unpacked, and their
+    determinants modulo u and v are joined by the CRT. The result is that
+    times the signed product of the pivots taken, 0 once that product is."""
+    wb = ((len(matrix) * n * n + n).bit_length() + 7) // 8
+    w = 8 * wb
     mask = (1 << w) - 1
-    rows = [sum(x % n << w * j for j, x in enumerate(row)) for row in matrix]
+    rows = [int.from_bytes(b"".join((x % n).to_bytes(wb, "little")
+                                    for x in row), "little") for row in matrix]
     det = 1
     while rows and det:
         if (size := len(rows)) == 1:
             return det * rows[0] % n
-        if math.gcd(rows[0] & mask, n) > 1:
-            i = min(range(size), key=lambda r: math.gcd(rows[r] & mask, n))
+        if (k := math.gcd(rows[0] & mask, n)) > 1:
+            k, i = min((math.gcd(r & mask, n), i) for i, r in enumerate(rows))
             rows[0], rows[i], det = rows[i], rows[0], -det if i else det
-        top = rows[0]
-        if math.gcd(x := (top & mask) % n, n) == 1:
-            top = sum((top >> w * j & mask) % n << w * j for j in range(size))
-        else:
-            top = [(top >> w * j & mask) % n for j in range(size)]
-            for r in range(1, size):
-                x, b = top[0], (rows[r] & mask) % n
-                if b % math.gcd(x, n):  # x does not divide b: Euclid
-                    v = [(rows[r] >> w * j & mask) % n for j in range(size)]
-                    g = math.gcd(x, b)
-                    s = pow(x // g, -1, b // g) if b > g else 1
-                    t = (g - s * x) // b
-                    x, b = x // g, b // g
-                    rows[r] = sum((x * q - b * p) % n << w * j
-                                  for j, (p, q) in enumerate(zip(top, v)))
-                    top = [(s * p + t * q) % n for p, q in zip(top, v)]
-            x, top = top[0], sum(e << w * j for j, e in enumerate(top))
-        m = n // (k := math.gcd(x, n))
+            if b := next((r & mask for r in rows if (r & mask) % k), 0):
+                u = math.gcd(n, pow(k // math.gcd(k, b), n.bit_length(), n))
+                v = n // u
+                raw = [r.to_bytes(size * wb, "little") for r in rows]
+                rest = [[int.from_bytes(r[j:j + wb], "little")
+                         for j in range(0, len(r), wb)] for r in raw]
+                du, dv = _det_mod(rest, u), _det_mod(rest, v)
+                return det * (du + u * ((dv - du) * pow(u, -1, v) % v)) % n
+        top = sum((rows[0] >> w * j & mask) % n << w * j for j in range(size))
+        m, x = n // k, top & mask
         inv, det = -pow(x // k, -1, m) % m, det * x % n
         rows = [r + (r & mask) % n // k * inv % m * top >> w for r in rows[1:]]
     return det
@@ -104,7 +101,8 @@ def _det_mod(matrix, n: int) -> int:
 # disc's bound: a degree N trace form modulo a b-bit n costs about N^2 / 2
 # multiply-adds on rows of N slots, each dearer as b grows; N^3 (b + 32 +
 # b^2 // 768) must stay within MAX_DET_WORK, left as it was. On a 2-vCPU host
-# the slowest inputs found at the bound answer in about 1.4 s as a process.
+# the slowest inputs found at the bound answer in about 1.5 s as a process:
+# n of 95-125 primes, split off one or two at a time.
 MAX_DET_WORK = 1_500_000_000
 
 

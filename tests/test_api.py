@@ -46,8 +46,9 @@ def test_oracle_shares_no_code_with_septest():
 
 def test_discriminant_shares_no_code_with_the_gcd_route():
     # The determinant route never reaches the gcd route's Euclid over Z/p
-    # (criterion 8): no function that discriminant calls, directly or
-    # through other functions of septest, names it.
+    # (criterion 8), nor the factorization of n that route starts from: no
+    # function that discriminant calls, directly or through other functions
+    # of septest, names either.
     tree = ast.parse(Path(septest.__file__).read_text())
     bodies = {node.name: node for node in tree.body
               if isinstance(node, ast.FunctionDef)}
@@ -61,3 +62,8 @@ def test_discriminant_shares_no_code_with_the_gcd_route():
                 todo.append(node.id)
     assert {"discriminant", "trace_form", "_det_mod"} <= seen
     assert not seen & {"_gcd_lists", "_rem_lists", "_separable_coeffs_mod_p"}
+    for name in seen:
+        for node in ast.walk(bodies[name]):
+            assert getattr(node, "id", None) != "factorize", name
+            assert getattr(node, "attr", None) not in {"factors",
+                                                       "factorize"}, name

@@ -198,26 +198,29 @@ class TestDiscriminant:
             discriminant(parse("2x^2+1", Modulus(6)))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(sorted(DET_MODULI)), st.integers(1, 16), st.data())
-    def test_det_mod_matches_integer_determinant(self, n, size, data):
+    @given(st.sampled_from(sorted(DET_MODULI)), st.integers(1, 16),
+           st.booleans(), st.integers(0, 2**64 - 1))
+    def test_det_mod_matches_integer_determinant(self, n, size, lu, seed):
         # Entries near 0, p, p^2 and n - 1 leave columns without a unit,
-        # which the elimination clears by Euclid.
+        # where a pivot of least gcd with n may not divide an entry below
+        # it, and the elimination splits n. Each matrix is drawn as one
+        # seed rather than entry by entry, which cost most of the test's
+        # time.
+        rng = random.Random(seed)
         near = sorted({e % n for p in DET_MODULI[n]
                        for e in (0, 1, p, p * p, n - 1, n - p)})
-        entry = st.one_of(st.sampled_from(near), st.integers(0, n - 1))
-        if data.draw(st.booleans()):
-            matrix = data.draw(st.lists(st.lists(entry, min_size=size,
-                                                 max_size=size),
-                                        min_size=size, max_size=size))
+        if not lu:
+            matrix = [[rng.choice(near) if rng.getrandbits(1)
+                       else rng.randrange(n) for _ in range(size)]
+                      for _ in range(size)]
         else:
             # L U, with U unit upper triangular with a draw near n - 1 above
             # its diagonal and L unit lower triangular with its negation
             # below: the elimination's multipliers and pivot rows are then
             # near n - 1, and each step grows a packed slot by nearly
             # (n - 1)^2, the most it can.
-            big = data.draw(st.lists(st.integers(max(0, n - 3), n - 1),
-                                     min_size=size * size,
-                                     max_size=size * size))
+            big = [rng.randint(max(0, n - 3), n - 1)
+                   for _ in range(size * size)]
 
             def lower(i, k):
                 return -big[i * size + k] if k < i else int(k == i)
@@ -233,10 +236,15 @@ class TestDiscriminant:
         ([[2, 3], [3, 2]], 6, 1),
         ([[7, 11], [11, 7]], 1001, 929),
         ([[7, 11, 13], [11, 13, 7], [13, 7, 11]], 1001, 133),
+        ([[6, 9], [9, 6]], 36, 27),
+        ([[6, 1, 0], [10, 0, 1], [15, 1, 1]], 210, 209),
     ])
-    def test_det_mod_pairs_rows_by_euclid(self, matrix, n, det):
+    def test_det_mod_splits_n_where_a_pivot_fails(self, matrix, n, det):
         # The first column holds no unit, and its pivot of least gcd with n
-        # divides no entry below it: the first step pairs rows by Euclid.
+        # divides no entry below it: the first step splits n. Modulo 36 the
+        # pivot's gcd, 6, holds both primes of n, so the split must come
+        # from 2, the part of 6 that 9 lacks: 36 = 4 x 9. Modulo 210 the
+        # split 3 x 70 leaves a first column mod 70 that splits again, 2 x 35.
         assert integer_det(matrix) % n == det
         assert _det_mod(matrix, n) == det
 
@@ -268,16 +276,33 @@ class TestDiscriminant:
         with pytest.raises(DomainError, match=f"degree <= {largest} "):
             discriminant(PolyZn(m, (1, 3) + (0,) * (largest - 1) + (1,)))
 
-    @pytest.mark.parametrize("n", [999983, 1001])
-    def test_det_mod_work_is_quadratic(self, n):
+    @pytest.mark.parametrize("n, split", [
+        (999983, False), (1001, False), (1001, True),
+    ], ids=["999983", "1001", "1001-split"])
+    def test_det_mod_work_is_quadratic(self, n, split):
         # One multiply-add per row per pivot: the lines run, comprehensions
         # included, grow as N^2 on a dense trace form, not as the N^3 / 3
         # entry steps of an elimination entry by entry (23 N^2 at N = 64).
         rng = random.Random(n)
         f = PolyZn(Modulus(n), [rng.randrange(n) for _ in range(64)] + [1])
-        det, lines = lines_run(_det_mod, trace_form(f), n)
-        assert (math.gcd(det, n) == 1) == is_separable(f)
-        assert lines < 6 * 64**2
+        matrix, bound = trace_form(f), 6 * 64**2
+        if split:
+            # A first column of multiples of 7, 11 and 13 holds no unit,
+            # and its pivot of least gcd divides no entry below it, so n
+            # splits at the first pivot. Its parts, at most one per prime
+            # of n, each take one dense elimination: a split that recurses
+            # more often than it needs to runs over (primes + 1) bounds.
+            matrix = [((7, 11, 13)[i % 3] * rng.randrange(1, n) % n,)
+                      + row[1:] for i, row in enumerate(matrix)]
+            column = [math.gcd(row[0], n) for row in matrix]
+            assert min(column) > 1 and any(g % min(column) for g in column)
+            bound *= len(Modulus(n).factors) + 1
+        det, lines = lines_run(_det_mod, matrix, n)
+        if split:
+            assert det == integer_det(matrix) % n
+        else:
+            assert (math.gcd(det, n) == 1) == is_separable(f)
+        assert lines < bound
 
 
 class TestSeparabilityMonic:
