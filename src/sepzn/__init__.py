@@ -3,7 +3,6 @@ formulas, and a brute-force enumeration oracle that verifies them."""
 
 from .arith import DomainError, Modulus, totient
 from .census import (
-    CountResult,
     Mode,
     count,
     count_leq_recurrence,
@@ -25,8 +24,8 @@ from .poly import PolyParseError, PolyZn, parse
 from .septest import discriminant, is_separable, is_separable_monic, trace_form
 
 __all__ = [
-    "BudgetExceeded", "CountResult", "DomainError", "Mode", "Modulus",
-    "PolyParseError", "PolyZn", "VerificationReport",
+    "BudgetExceeded", "DomainError", "Mode", "Modulus", "PolyParseError",
+    "PolyZn", "VerificationReport",
     "count", "count_leq_recurrence", "count_monic_separable",
     "count_separable_exact", "count_separable_leq",
     "count_separable_leq_primepower", "crt_product_count", "discriminant",

@@ -6,8 +6,8 @@ arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, prod
 
 
 class DomainError(ValueError):
@@ -135,19 +135,20 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 class Modulus:
-    """The ring Z/n for n >= 2, carrying its prime-power factorization.
+    """The ring Z/n for n >= 2; `factors` is factorize(n), on first read.
 
     Negative n is canonicalized to |n| at the boundary; Z/n = Z/(-n).
     """
-
-    __slots__ = ("n", "factors")
 
     def __init__(self, n: int):
         n = abs(int(n))
         if n < 2:
             raise DomainError(f"modulus must satisfy |n| >= 2, got {n}")
         self.n = n
-        self.factors = factorize(n)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        return factorize(self.n)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.n == other.n
@@ -158,14 +159,9 @@ class Modulus:
 
 def totient(m: Modulus) -> int:
     """Euler's phi(n) = |(Z/n)^x|, from the cached factorization."""
-    result = 1
-    for p, k in m.factors:
-        result *= p**k - p ** (k - 1)
-    return result
+    return prod(totient_prime_power(p, k) for p, k in m.factors)
 
 
 def totient_prime_power(p: int, k: int) -> int:
     """phi(p^k) = p^k - p^(k-1) for k >= 1; phi(1) = 1 for k = 0."""
-    if k == 0:
-        return 1
-    return p**k - p ** (k - 1)
+    return p**k - p ** (k - 1) if k else 1

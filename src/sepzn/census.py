@@ -11,7 +11,6 @@ coefficient tuples of length d + 1, zero polynomial included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -24,15 +23,6 @@ class Mode(str, Enum):
     MONIC = "monic"  # monic of degree exactly d
     LEQ = "leq"      # every tuple of length d + 1 (degree <= d)
     EXACT = "exact"  # leading coefficient nonzero (degree exactly d)
-
-
-@dataclass(frozen=True)
-class CountResult:
-    """A count of separable polynomials together with the size of the
-    sampled set."""
-
-    count: int
-    total: int
 
 
 # Python renders an int of at most 4300 digits as a string, and every count
@@ -98,7 +88,6 @@ def count_separable_leq(m: Modulus, d: int) -> int:
 
 def count_separable_exact(m: Modulus, d: int) -> int:
     """Separable polynomials of degree exactly d over Z/n."""
-    _require_degree(d)
     if d == 0:
         return totient(m)
     return count_separable_leq(m, d) - count_separable_leq(m, d - 1)
@@ -114,24 +103,25 @@ _MODES = {Mode.MONIC: (lambda m, d: count_monic_separable(m, d), lambda n: 1),
                        lambda n: n - 1)}
 
 
-def count(m: Modulus, d: int, mode: Mode) -> CountResult:
-    """The separable count of one mode and the size of the set it is taken
-    over (n^d monic, n^(d+1) degree <= d, (n-1)n^d degree exactly d).
-
-    Refuses a set whose size has more than MAX_DIGITS decimal digits."""
-    try:
-        formula, lead = _MODES[mode]
-    except KeyError:
-        formula, lead = _MODES[Mode(mode)]  # ValueError if not a mode
+def size(n: int, d: int, mode: Mode) -> int:
+    """The size of the set one mode counts over Z/n, from n alone: n^d
+    monic, n^(d+1) degree <= d, (n-1)n^d degree exactly d.  Refuses a set
+    whose size has more than MAX_DIGITS decimal digits."""
+    lead = _MODES[mode if mode in _MODES else Mode(mode)][1]  # or ValueError
     _require_degree(d)
-    n = m.n
     # Every set holds at least n^d >= 2^(d(bits - 1)) tuples, so the test of
     # bit lengths refuses a far too large set before any power is taken.
     if (d * (n.bit_length() - 1) >= _SIZE_LIMIT.bit_length()
             or (total := lead(n) * n**d) >= _SIZE_LIMIT):
         raise DomainError(f"the {Mode(mode).value} set at d = {d} has a size "
                           f"of more than {MAX_DIGITS} digits")
-    return CountResult(formula(m, d), total)
+    return total
+
+
+def count(m: Modulus, d: int, mode: Mode) -> int:
+    """The separable count of one mode, over a set that size accepts."""
+    size(m.n, d, mode)  # refuses a bad mode or degree first
+    return _MODES[mode][0](m, d)
 
 
 def count_leq_recurrence(p: int, k: int, d: int) -> int:

@@ -6,8 +6,8 @@ Numeric output is exact; rationals are rendered "numerator/denominator", and
 a decimal field appears only behind --decimal and is flagged approximate.
 The `table` sub-command can emit CSV instead.
 
-Exit status: 0 success, 1 usage error, 2 domain error (bad modulus, monic
-required, budget exceeded), 3 verification mismatch.
+Exit status: 0 success, 1 usage or output error, 2 domain error (bad
+modulus, monic required, budget exceeded), 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import census, oracle
@@ -109,10 +110,11 @@ def _cmd_trace_form(args) -> int:
 def _cmd_count(args) -> int:
     m = Modulus(args.n)
     mode = census.Mode(args.mode)
-    r = census.count(m, args.d, mode)
+    total = census.size(m.n, args.d, mode)
+    count = census.count(m, args.d, mode)
     _emit("count", {"n": m.n, "d": args.d, "mode": mode.value},
-          {"type": "count", "value": r.count, "total": r.total,
-           **_rational("proportion", r.count, r.total, args.decimal)},
+          {"type": "count", "value": count, "total": total,
+           **_rational("proportion", count, total, args.decimal)},
           "formula")
     return 0
 
@@ -160,7 +162,7 @@ def _cmd_table(args) -> int:
         raise DomainError(f"--n-min must be >= 2, got {args.n_min}")
     if ns and ds:
         for d in (args.d_min, args.d_max):  # d >= 0; the largest set
-            census.count(Modulus(args.n_max), d, mode)
+            census.size(args.n_max, d, mode)
     # One template per command, filled with n, d, mode, count, proportion:
     # the row csv.writer (excel dialect) writes for these quote-free fields,
     # or the line _emit writes for the row's record.
@@ -175,9 +177,9 @@ def _cmd_table(args) -> int:
     for n in ns:
         m = Modulus(n)
         for d in ds:
-            r = census.count(m, d, mode)
-            fields = _rational("proportion", r.count, r.total)
-            write(row % (n, d, name, r.count, fields["proportion"]))
+            count = census.count(m, d, mode)
+            fields = _rational("proportion", count, census.size(n, d, mode))
+            write(row % (n, d, name, count, fields["proportion"]))
     return 0
 
 
@@ -270,7 +272,16 @@ def run(argv: list[str]) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as e:  # a failed write to stdout; a closed pipe is silent
+        if not isinstance(e, BrokenPipeError):
+            print(f"output error: {e}", file=sys.stderr)
+        # What stdout still holds goes nowhere at exit, not to a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Brute-force enumeration of separable polynomials over Z/n, the ground
-truth the census formulas are verified against: of census.count it reads
-only set sizes.
+truth the census formulas are verified against.  A query is sized from n
+alone (census.size), so one over budget is refused before n is factored.
 
 A polynomial over Z/n is separable exactly when its reduction mod every
 prime p | n is, and over the field Z/p one of degree >= 1 is separable
@@ -40,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import census
-from .arith import DomainError, Modulus
+from .arith import DomainError, Modulus, factorize
 from .census import Mode
 # Not called here; perfbench/spans.py wraps oracle.PolyZn to count calls.
 from .poly import PolyZn  # noqa: F401
@@ -147,7 +147,7 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
         raise DomainError(f"degree must be >= 0, got {d}")
     mode = Mode(mode)
     monic = mode is Mode.MONIC
-    factors = Modulus(n).factors
+    factors = factorize(n)
     base = 0 if mode is Mode.LEQ else n**d
     lo, hi = base + lo, base + hi
     if factors == ((n, 1),):
@@ -191,7 +191,7 @@ class _Pool(contextlib.ExitStack):
 
     def count(self, m: Modulus, d: int, mode: Mode, budget: int) -> int:
         """enumerate_count on this pool."""
-        size = census.count(m, d, mode).total  # the size, not the count
+        size = census.size(m.n, d, mode)
         if size > budget:
             raise BudgetExceeded(size, budget)
         return self.walk(m, d, mode, size)
@@ -211,7 +211,7 @@ class _Pool(contextlib.ExitStack):
 
 def enumerate_count(m: Modulus, d: int, mode: Mode,
                     budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
-    """Exact count of separable polynomials in the set census.count(m, d,
+    """Exact count of separable polynomials in the set census.size(m.n, d,
     mode) sizes; with workers > 1 its index ranges run on at most one
     process per CPU."""
     with _Pool(workers) as pool:
@@ -264,17 +264,17 @@ def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
     workers > 1 the queries share one process pool."""
     if d_max < 0:
         raise DomainError(f"d_max must be >= 0, got {d_max}")
-    census.count(m, d_max, Mode.LEQ)  # the largest set; refused if too large
+    census.size(m.n, d_max, Mode.LEQ)  # the largest set; refused if too large
     reports = []
     with _Pool(workers) as pool:
         for d in range(d_max + 1):
             for mode in Mode:
-                result = census.count(m, d, mode)
+                formula = census.count(m, d, mode)
+                size = census.size(m.n, d, mode)
                 start = time.perf_counter()
-                oracle = (pool.walk(m, d, mode, result.total)
-                          if result.total <= budget else None)
+                oracle = None if size > budget else pool.walk(m, d, mode, size)
                 reports.append(VerificationReport(
-                    d, mode, oracle, result.count,
-                    None if oracle is None else oracle == result.count,
+                    d, mode, oracle, formula,
+                    None if oracle is None else oracle == formula,
                     time.perf_counter() - start, skipped=oracle is None))
     return reports

@@ -5,8 +5,8 @@ import sepzn
 from sepzn import oracle, septest
 
 PUBLIC = [
-    "BudgetExceeded", "CountResult", "DomainError", "Mode", "Modulus",
-    "PolyParseError", "PolyZn", "VerificationReport",
+    "BudgetExceeded", "DomainError", "Mode", "Modulus", "PolyParseError",
+    "PolyZn", "VerificationReport",
     "count", "count_leq_recurrence", "count_monic_separable",
     "count_separable_exact", "count_separable_leq",
     "count_separable_leq_primepower", "crt_product_count", "discriminant",

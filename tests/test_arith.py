@@ -119,8 +119,10 @@ class TestFactorize:
 
     def test_refuses_uncertified_probable_prime(self):
         # 2^89 - 1 is prime but above the deterministic Miller-Rabin bound.
+        # The modulus is built; the refusal comes with the first read.
+        m = Modulus(2**89 - 1)
         with pytest.raises(DomainError):
-            Modulus(2**89 - 1)
+            m.factors
         # The bound is itself composite, a strong pseudoprime to every base
         # up to 41, and must not be reported prime.
         assert arith._MR_EXACT_BELOW == 1287836182261 * 2575672364521
@@ -145,6 +147,14 @@ class TestModulus:
         with pytest.raises(DomainError):
             Modulus(1)
 
+    def test_factors_on_first_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arith, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
+        m = Modulus(-120)
+        assert calls == []
+        assert m.factors == factorize(120) and calls == [120]
+        assert m.factors == ((2, 3), (3, 1), (5, 1)) and calls == [120]
 
 class TestTotient:
     def test_prime_power(self):

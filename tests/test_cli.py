@@ -4,15 +4,19 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepzn import census, cli
+from sepzn import arith, census, cli
 from sepzn.arith import Modulus
 
 
@@ -234,6 +238,11 @@ def test_factor_mersenne_61(capsys):
     (["check", "-n", "7", "-f", ",".join(["1"] * 1026)], 1, "usage error: "),
     (["trace-form", "-n", "7", "-f", ",".join(["1"] * 1026)], 1,
      "usage error: "),
+    # The commands that need the primes of 2^89 - 1.
+    (["check", "-n", "618970019642690137449562111", "-f", "x^2+x+1"], 2,
+     "domain error: "),
+    (["count", "-n", "618970019642690137449562111", "-d", "2"], 2,
+     "domain error: "),
 ])
 def test_refusals_are_one_line(capsys, argv, status, prefix):
     assert cli.run(argv) == status
@@ -242,6 +251,64 @@ def test_refusals_are_one_line(capsys, argv, status, prefix):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(prefix)
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("n", [2**89 - 1, 120])
+@pytest.mark.parametrize("factorize_raises", [False, True])
+def test_discriminant_route_never_factors(capsys, monkeypatch, n,
+                                          factorize_raises):
+    # disc and trace-form need no primes of n: they answer modulo 2^89 - 1,
+    # which factorize refuses, and with factorize raising.
+    if factorize_raises:
+        def refuse(n):
+            raise AssertionError(f"factorize({n})")
+
+        monkeypatch.setattr(arith, "factorize", refuse)
+    status, recs = run_lines(capsys, ["disc", "-n", str(n), "-f", "x^2+x+1"])
+    assert status == 0
+    # -3 is 618970019642690137449562108 modulo 2^89 - 1.
+    assert recs[0]["result"]["value"] == -3 % n
+    status, recs = run_lines(capsys, ["trace-form", "-n", str(n), "-f",
+                                      "x^2+x+1"])
+    assert status == 0
+    assert recs[0]["result"]["entries"] == [[2, n - 1], [n - 1, n - 1]]
+
+
+def sepzn_process(*argv, **kwargs):
+    """`python -m sepzn.cli argv` as a process on this checkout's src/."""
+    src = str(Path(cli.__file__).parents[1])
+    return subprocess.Popen([sys.executable, "-m", "sepzn.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src}, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    # About 14,000 rows and 1,800 records: far more than a pipe holds.
+    ["table", "--n-min", "2", "--n-max", "2000", "--d-min", "0",
+     "--d-max", "6"],
+    ["verify", "-n", "2", "--d-max", "600", "--budget", "1000"],
+])
+def test_closed_pipe_ends_silently(argv):
+    # sepzn ... | head -2: the reader leaves while the command still writes.
+    proc = sepzn_process(*argv, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE)
+    head = subprocess.Popen(["head", "-2"], stdin=proc.stdout,
+                            stdout=subprocess.PIPE)
+    proc.stdout.close()
+    out = head.communicate(timeout=60)[0]
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 1
+    assert out.count(b"\n") == 2
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_write_is_one_line():
+    with open("/dev/full", "wb") as full:
+        proc = sepzn_process("factor", "-n", "6", stdout=full,
+                             stderr=subprocess.PIPE)
+        err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1
+    assert err.startswith("output error: ") and err.count("\n") == 1
 
 
 def test_coefficient_list_up_to_degree_1024(capsys):
@@ -351,8 +418,9 @@ def test_table_streams_rows(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.run(["table", "--n-min", "2", "--n-max", "4",
                         "--d-min", "0", "--d-max", "1"]) == 0
-    # Two checks of the range first, then one count per row after the header.
-    assert written == [0, 0] + list(range(1, 7))
+    # One count per row after the header; the checks of the range take
+    # set sizes only.
+    assert written == list(range(1, 7))
 
 
 # Moduli up to 10^30 whose factorization is quick: products of small and
@@ -567,14 +635,14 @@ def reference_table(n_min, n_max, d_min, d_max, mode, fmt):
     for n in range(n_min, n_max + 1):
         for d in range(d_min, d_max + 1):
             r = census.count(Modulus(n), d, census.Mode(mode))
-            p = Fraction(r.count, r.total)
+            p = Fraction(r, census.size(n, d, mode))
             proportion = f"{p.numerator}/{p.denominator}"
             if fmt == "csv":
-                writer.writerow([n, d, mode, r.count, proportion])
+                writer.writerow([n, d, mode, r, proportion])
             else:
                 out.write(json.dumps(
                     {"command": "table", "inputs": {"n": n, "d": d, "mode": mode},
-                     "result": {"type": "count", "value": r.count,
+                     "result": {"type": "count", "value": r,
                                 "proportion": proportion},
                      "provenance": "formula"}) + "\n")
     return out.getvalue()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepzn import census, oracle
+from sepzn import arith, census, oracle
 from sepzn.arith import DomainError, Modulus
 from sepzn.oracle import (
     BudgetExceeded,
@@ -56,7 +56,7 @@ def serial_pool(monkeypatch):
 
 
 def space_size(n, d, mode):
-    return census.count(Modulus(n), d, mode).total
+    return census.size(n, d, mode)
 
 
 class TestEnumerateCount:
@@ -73,6 +73,20 @@ class TestEnumerateCount:
         with pytest.raises(BudgetExceeded) as e:
             enumerate_count(Modulus(120), 3, Mode.LEQ, budget=10**6)
         assert e.value.required == 120**4
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_budget_refusal_needs_no_primes(self, monkeypatch, mode):
+        # The refusal is decided from n, d and the mode: n is not factored
+        # and no formula is evaluated.
+        def refuse(*args):
+            raise AssertionError(args)
+
+        monkeypatch.setattr(arith, "factorize", refuse)
+        for name in ("count_monic_separable", "count_separable_leq",
+                     "count_separable_exact"):
+            monkeypatch.setattr(census, name, refuse)
+        with pytest.raises(BudgetExceeded):  # 2^89 - 1: factorize refuses it
+            enumerate_count(Modulus(2**89 - 1), 3, mode, budget=10**8)
 
     def test_space_sizes(self):
         assert space_size(6, 2, Mode.MONIC) == 36
@@ -190,9 +204,9 @@ class TestVerify:
         assert leq[1].match
 
     def test_counts_each_query_once(self, monkeypatch):
-        # One census.count per query plus the up-front check of the largest
-        # set, and a skipped query builds no BudgetExceeded (whose message
-        # would print the set size).
+        # One census.count per query (the up-front check of the largest set
+        # is a census.size), and a skipped query builds no BudgetExceeded
+        # (whose message would print the set size).
         calls, refusals = [], []
         count = census.count
         monkeypatch.setattr(census, "count",
@@ -200,7 +214,7 @@ class TestVerify:
         monkeypatch.setattr(oracle, "BudgetExceeded",
                             lambda *args: refusals.append(args))
         reports = verify(Modulus(2), 40, budget=10)
-        assert len(calls) == 3 * 41 + 1
+        assert len(calls) == 3 * 41
         assert refusals == []
         assert any(r.skipped for r in reports)
         assert all(r.match for r in reports if not r.skipped)
@@ -298,7 +312,7 @@ class TestWalkProperties:
         size = space_size(n, d, Mode.LEQ)
         count, lines = lines_run(count_range, n, d, Mode.LEQ, 0, size,
                                  also=[oracle._tile])
-        assert count == census.count(Modulus(n), d, Mode.LEQ).count
+        assert count == census.count(Modulus(n), d, Mode.LEQ)
         assert size >= 10 * lines
 
     @pytest.mark.parametrize("n, d", [(6, 8), (30, 4)])
@@ -313,7 +327,7 @@ class TestWalkProperties:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == census.count(Modulus(n), d, Mode.LEQ).count
+        assert count == census.count(Modulus(n), d, Mode.LEQ)
         assert peak <= tables + 4 * max(oracle._BLOCK, n)
 
     @pytest.mark.parametrize("d, mode", [(0, Mode.LEQ), (1, Mode.MONIC)])
@@ -324,7 +338,7 @@ class TestWalkProperties:
         assert n > oracle._BLOCK
         count, lines = lines_run(count_range, n, d, mode, 0, n,
                                  also=[oracle._tile])
-        assert count == census.count(Modulus(n), d, mode).count
+        assert count == census.count(Modulus(n), d, mode)
         assert lines < 200
 
 
@@ -463,7 +477,7 @@ class TestSieve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == census.count(Modulus(101), 2, mode).count
+        assert count == census.count(Modulus(101), 2, mode)
         assert peak <= size + 64 * 1024
 
     def test_raised_budget_keeps_prime_memory_bounded(self):
