@@ -12,7 +12,6 @@ coefficient tuples of length d + 1, zero polynomial included.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .arith import DomainError, Modulus, totient, totient_prime_power
 
@@ -61,6 +60,7 @@ def proportion_monic_separable(m: Modulus, d: int = 2) -> Fraction:
     for d >= 2: the product of (1 - 1/p) over the distinct primes p | n."""
     if d < 2:
         raise DomainError(f"the proportion formula requires d >= 2, got {d}")
+    from fractions import Fraction  # imported here: nothing else needs it
     result = Fraction(1)
     for p, _ in m.factors:
         result *= Fraction(p - 1, p)

@@ -36,8 +36,7 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import census
 from .arith import DomainError, Modulus, factorize
@@ -48,6 +47,17 @@ from .poly import PolyZn  # noqa: F401
 DEFAULT_BUDGET = 10**8
 # Tuples per block of the composite walk (see count_range).
 _BLOCK = 2**20
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first read (PEP 562) and kept in
+    the module: only --workers > 1 starts a pool, and its modules take
+    longer to import than most commands take to run."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 class BudgetExceeded(DomainError):
@@ -186,7 +196,8 @@ class _Pool(contextlib.ExitStack):
 
     def __init__(self, workers: int):
         super().__init__()
-        self.workers = min(workers, os.cpu_count() or 1)
+        self.workers = (workers if workers <= 1
+                        else min(workers, os.cpu_count() or 1))
         self._executor = None
 
     def count(self, m: Modulus, d: int, mode: Mode, budget: int) -> int:
@@ -202,8 +213,10 @@ class _Pool(contextlib.ExitStack):
         if w <= 1:
             return count_range(n, d, mode, 0, size)
         if self._executor is None:
-            self._executor = self.enter_context(
-                ProcessPoolExecutor(max_workers=w))
+            # Read as oracle.ProcessPoolExecutor, where it may be replaced.
+            pool = (globals().get("ProcessPoolExecutor")
+                    or __getattr__("ProcessPoolExecutor"))
+            self._executor = self.enter_context(pool(max_workers=w))
         bounds = [size * i // w for i in range(w + 1)]
         return sum(self._executor.map(count_range, [n] * w, [d] * w,
                                       [mode] * w, bounds[:-1], bounds[1:]))
@@ -241,20 +254,17 @@ def crt_product_count(m: Modulus, d: int, mode: Mode,
         return product(d, mode)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport", ["d", "mode", "oracle_count", "formula_count",
+                               "match", "elapsed", "skipped"],
+        defaults=[False])):
     """Formula-vs-enumeration comparison for one degree and mode.
 
-    match is None when the query was skipped for exceeding the budget.
+    oracle_count and match are None when the query was skipped for
+    exceeding the budget.
     """
 
-    d: int
-    mode: Mode
-    oracle_count: int | None
-    formula_count: int
-    match: bool | None
-    elapsed: float
-    skipped: bool = False
+    __slots__ = ()
 
 
 def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,

@@ -311,6 +311,47 @@ def test_failed_write_is_one_line():
     assert err.startswith("output error: ") and err.count("\n") == 1
 
 
+def test_import_loads_no_pool_dataclasses_or_fractions():
+    # A fresh interpreter, compared with the modules it holds at start
+    # (site may preload some).
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import sepzn.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(cli.__file__).parents[1])
+    loaded = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = loaded.split()
+    assert "sepzn.oracle" in loaded
+    on_demand = {"concurrent", "multiprocessing", "dataclasses", "fractions"}
+    assert not [name for name in loaded if name.split(".")[0] in on_demand]
+
+
+def process_stdout(*argv):
+    proc = sepzn_process(*argv, stdout=subprocess.PIPE)
+    out = proc.communicate(timeout=60)[0]
+    assert proc.returncode == 0
+    return out
+
+
+def test_pool_in_a_fresh_process():
+    # The pool class is imported on the first start of a pool.
+    argv = ["enumerate", "--mode", "leq", "-n", "5", "-d", "4"]
+    out = process_stdout(*argv, "--workers", "2")
+    assert out == process_stdout(*argv, "--workers", "1")
+    assert json.loads(out)["result"]["value"] == 2504
+
+
+def test_proportion_in_a_fresh_process():
+    # Fraction is imported on the first proportion.
+    assert process_stdout("proportion", "-n", "12", "-d", "3",
+                          "--decimal", "5") == (
+        b'{"command": "proportion", "inputs": {"n": 12, "d": 3}, "result": '
+        b'{"type": "rational", "value": "1/3", "decimal": "0.33333", '
+        b'"approximate": true}, "provenance": "formula"}\n')
+
+
 def test_coefficient_list_up_to_degree_1024(capsys):
     status, recs = run_lines(capsys, ["check", "-n", "7", "-f",
                                       ",".join(["1"] * 1025)])

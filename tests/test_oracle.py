@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import os
@@ -152,6 +153,28 @@ class TestDeterminismAndPartition:
         verify(Modulus(5), 2, budget=0, workers=2)  # every query skipped
         assert serial_pool.starts == [2]
 
+    def test_one_worker_reads_no_cpu_count(self, monkeypatch):
+        def refuse():
+            raise AssertionError("cpu_count read")
+
+        monkeypatch.setattr(oracle.os, "cpu_count", refuse)
+        assert enumerate_count(Modulus(6), 2, Mode.LEQ, workers=1) == \
+            census.count(Modulus(6), 2, Mode.LEQ)
+        assert all(r.match for r in verify(Modulus(5), 1, workers=1))
+
+
+class TestModuleAttributes:
+    def test_pool_class_is_the_process_pool(self):
+        # Imported on first read, then kept in the module.
+        assert oracle.ProcessPoolExecutor is \
+            concurrent.futures.ProcessPoolExecutor
+        assert "ProcessPoolExecutor" in vars(oracle)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(oracle, "no_such_name")
+        assert not hasattr(oracle, "no_such_name")
+
 
 class TestCrtProductCount:
     @pytest.mark.parametrize("n", [6, 12, 15])
@@ -218,6 +241,20 @@ class TestVerify:
         assert refusals == []
         assert any(r.skipped for r in reports)
         assert all(r.match for r in reports if not r.skipped)
+
+    def test_report_fields(self):
+        report = oracle.VerificationReport(2, Mode.LEQ, 30, 30, True, 0.5)
+        assert (report.d, report.mode, report.oracle_count,
+                report.formula_count, report.match, report.elapsed,
+                report.skipped) == (2, Mode.LEQ, 30, 30, True, 0.5, False)
+        assert report == oracle.VerificationReport(
+            2, Mode.LEQ, 30, 30, True, 0.5, skipped=False)
+        assert report != oracle.VerificationReport(
+            2, Mode.LEQ, None, 30, None, 0.5, skipped=True)
+        with pytest.raises(AttributeError):
+            report.match = False
+        with pytest.raises(AttributeError):
+            report.extra = 1  # no instance dict
 
     def test_budget_exceeded_marks_skipped(self):
         reports = verify(Modulus(6), 2, budget=100)
