@@ -94,34 +94,37 @@ def count_separable_exact(m: Modulus, d: int) -> int:
 
 
 # The formula of each mode, looked up as a module attribute at each call so
-# that a replaced formula is the one used, and how many values the leading
-# coefficient takes.  Mode is a str Enum: a member and its value find one
-# entry.
-_MODES = {Mode.MONIC: (lambda m, d: count_monic_separable(m, d), lambda n: 1),
-          Mode.LEQ: (lambda m, d: count_separable_leq(m, d), lambda n: n),
-          Mode.EXACT: (lambda m, d: count_separable_exact(m, d),
-                       lambda n: n - 1)}
+# that a replaced formula is the one used.  Mode is a str Enum: a member and
+# its value find one entry.
+_MODES = {Mode.MONIC: lambda m, d: count_monic_separable(m, d),
+          Mode.LEQ: lambda m, d: count_separable_leq(m, d),
+          Mode.EXACT: lambda m, d: count_separable_exact(m, d)}
 
 
-def size(n: int, d: int, mode: Mode) -> int:
-    """The size of the set one mode counts over Z/n, from n alone: n^d
-    monic, n^(d+1) degree <= d, (n-1)n^d degree exactly d.  Refuses a set
-    whose size has more than MAX_DIGITS decimal digits."""
-    lead = _MODES[mode if mode in _MODES else Mode(mode)][1]  # or ValueError
+def window(n: int, d: int, mode: Mode) -> tuple[int, int]:
+    """The indices [start, stop), at sum c_i n^i, of the set one mode
+    counts over Z/n, from n alone: [n^d, 2 n^d) monic, [0, n^(d+1)) degree
+    <= d, [n^d, n^(d+1)) degree exactly d.  Refuses a set whose size has
+    more than MAX_DIGITS decimal digits."""
+    if mode not in _MODES:
+        mode = Mode(mode)  # or ValueError
     _require_degree(d)
     # Every set holds at least n^d >= 2^(d(bits - 1)) tuples, so the test of
     # bit lengths refuses a far too large set before any power is taken.
-    if (d * (n.bit_length() - 1) >= _SIZE_LIMIT.bit_length()
-            or (total := lead(n) * n**d) >= _SIZE_LIMIT):
-        raise DomainError(f"the {Mode(mode).value} set at d = {d} has a size "
-                          f"of more than {MAX_DIGITS} digits")
-    return total
+    if d * (n.bit_length() - 1) < _SIZE_LIMIT.bit_length():
+        low = n**d
+        start = 0 if mode == "leq" else low  # a member equals its value
+        stop = 2 * low if mode == "monic" else n * low
+        if stop - start < _SIZE_LIMIT:
+            return start, stop
+    raise DomainError(f"the {Mode(mode).value} set at d = {d} has a size "
+                      f"of more than {MAX_DIGITS} digits")
 
 
 def count(m: Modulus, d: int, mode: Mode) -> int:
-    """The separable count of one mode, over a set that size accepts."""
-    size(m.n, d, mode)  # refuses a bad mode or degree first
-    return _MODES[mode][0](m, d)
+    """The separable count of one mode, over a set that window accepts."""
+    window(m.n, d, mode)  # refuses a bad mode or degree first
+    return _MODES[mode](m, d)
 
 
 def count_leq_recurrence(p: int, k: int, d: int) -> int:

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import census, oracle
-from .arith import DomainError, Modulus
+from .arith import DomainError, Modulus, factorize
 from .poly import PolyParseError, parse
 from .septest import discriminant, is_separable, trace_form
 
@@ -110,11 +110,11 @@ def _cmd_trace_form(args) -> int:
 def _cmd_count(args) -> int:
     m = Modulus(args.n)
     mode = census.Mode(args.mode)
-    total = census.size(m.n, args.d, mode)
+    start, stop = census.window(m.n, args.d, mode)
     count = census.count(m, args.d, mode)
     _emit("count", {"n": m.n, "d": args.d, "mode": mode.value},
-          {"type": "count", "value": count, "total": total,
-           **_rational("proportion", count, total, args.decimal)},
+          {"type": "count", "value": count, "total": stop - start,
+           **_rational("proportion", count, stop - start, args.decimal)},
           "formula")
     return 0
 
@@ -157,12 +157,14 @@ def _cmd_table(args) -> int:
     mode = census.Mode(args.mode)
     ns = range(args.n_min, args.n_max + 1)
     ds = range(args.d_min, args.d_max + 1)
-    # Refuse a bad range before the first row.
+    # Refuse a bad range, or a corner n it cannot factor, before any row.
     if ns and args.n_min < 2:
         raise DomainError(f"--n-min must be >= 2, got {args.n_min}")
     if ns and ds:
         for d in (args.d_min, args.d_max):  # d >= 0; the largest set
-            census.size(args.n_max, d, mode)
+            census.window(args.n_max, d, mode)
+        for n in (args.n_min, args.n_max):
+            factorize(n)
     # One template per command, filled with n, d, mode, count, proportion:
     # the row csv.writer (excel dialect) writes for these quote-free fields,
     # or the line _emit writes for the row's record.
@@ -178,7 +180,8 @@ def _cmd_table(args) -> int:
         m = Modulus(n)
         for d in ds:
             count = census.count(m, d, mode)
-            fields = _rational("proportion", count, census.size(n, d, mode))
+            start, stop = census.window(n, d, mode)
+            fields = _rational("proportion", count, stop - start)
             write(row % (n, d, name, count, fields["proportion"]))
     return 0
 

@@ -1,6 +1,8 @@
 """Brute-force enumeration of separable polynomials over Z/n, the ground
-truth the census formulas are verified against.  A query is sized from n
-alone (census.size), so one over budget is refused before n is factored.
+truth the census formulas are verified against.  A walk counts the
+polynomials among indices [lo, hi), index sum c_i n^i naming sum c_i x^i,
+and census.window places each mode's set in that index from n alone, so
+a query over budget is refused before n is factored.
 
 A polynomial over Z/n is separable exactly when its reduction mod every
 prime p | n is, and over the field Z/p one of degree >= 1 is separable
@@ -10,23 +12,21 @@ with no gcd: one byte per polynomial of degree <= d, at index sum c_i p^i,
 all 1 but the zero polynomial and every multiple of a g^2 marked 0.  The
 multiples of g^2 are indexed by their coefficients from x^(2e) up, e the
 degree of g, so those in a window of the table are a run of them, and each
-g is set up only for the steps of its run.  The monic polynomials of
-degree d are the window [p^d, 2 p^d), the exact-degree ones [p^d, p^(d + 1)).
+g is set up only for the steps of its run.
 
-Index t of a mode's space is index base + t of the degree <= d space,
-whose index sum c_i n^i has coefficient 0 as its lowest digit; base is n^d
-for the monic and exact sets and 0 for the leq set.  For prime n a count
-over indices [lo, hi) is the number of ones in one table window, sieved a
-chunk of max(4 _BLOCK, number of monic g of degree <= d/2) entries at a
-time, however wide the window.  Composite n is walked in blocks of n^j
-tuples that share coefficients j and up.  For each prime p | n those
-coefficients reduced mod p fix a run of p^j table entries, and the block's
-verdicts mod p are that run tiled n/p times along each coefficient below
-j; a tuple counts where every prime's verdict is 1.  The distinct primes
-of a composite n sum to at most n - 1, so the tables hold no more bytes
-than the space has tuples: the budget bounds memory as well as time.
-Ranges of the space run on parallel workers, each sieving its own tables,
-and their counts are summed.
+For prime n a count over [lo, hi) is the number of ones in that window of
+the table, d the degree of index hi - 1, sieved a chunk of max(4 _BLOCK,
+monic g of degree <= d/2) entries at a time however wide the window.
+Composite n is walked in blocks of n^j tuples that share coefficients j and
+up.  For each prime p | n those coefficients reduced mod p fix a run of p^j
+table entries, and the block's verdicts mod p are that run tiled n/p times
+along each coefficient below j; a tuple counts where every prime's verdict
+is 1.  A range inside one value c of the top coefficient, as the monic set
+[n^d, 2 n^d) is, reads only the window [(c mod p) p^d, (c mod p + 1) p^d)
+of each table.  The distinct primes of a composite n sum to at most n - 1,
+so the tables hold no more bytes than the space has tuples: the budget
+bounds memory as well as time.  A range is split across parallel workers,
+each sieving its own tables, and their counts are summed.
 """
 
 from __future__ import annotations
@@ -145,36 +145,34 @@ def _tile(table: bytearray, at: int, p: int, n: int,
                     for c in range(p)) * (n // p)
 
 
-def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
-    """Separable tuples among indices [lo, hi) of the query's space.
+def count_range(n: int, lo: int, hi: int) -> int:
+    """The number of separable polynomials over Z/n among indices [lo, hi),
+    index sum c_i n^i naming sum c_i x^i; d is the degree of index hi - 1.
 
-    Index t is index base + t of the degree <= d space, base being n^d for
-    monic and exact and 0 for leq.  Prime n holds one table chunk at a time.
-    Composite n is walked in blocks of n^j tuples, n^j <= max(_BLOCK, n):
-    the peak memory is the tables' bytes plus about three blocks, within
-    4 max(_BLOCK, n) bytes."""
-    if d < 0:
-        raise DomainError(f"degree must be >= 0, got {d}")
-    mode = Mode(mode)
-    monic = mode is Mode.MONIC
+    Prime n holds one table chunk at a time.  Composite n is walked in
+    blocks of n^j tuples, n^j <= max(_BLOCK, n): the peak memory is the
+    tables' bytes plus about three blocks, within 4 max(_BLOCK, n) bytes."""
+    d = next(e for e in itertools.count() if n**(e + 1) >= hi)
     factors = factorize(n)
-    base = 0 if mode is Mode.LEQ else n**d
-    lo, hi = base + lo, base + hi
     if factors == ((n, 1),):
         # No fewer entries than monic g of degree <= d/2: each chunk sets up
         # every g again.
         step = max(4 * _BLOCK, sum(n**e for e in range(1, d // 2 + 1)))
         return sum(_sieve(n, d, a, min(a + step, hi)).count(1)
                    for a in range(lo, hi, step))
+    # x^d runs over [c mod p, c mod p + 1) of each table when the range
+    # has one value c of it (its blocks then leave it out), else [0, p).
+    lead = lo // n**d
+    one = lead == (hi - 1) // n**d
     # The largest j with n^j <= _BLOCK, but at least 1, and no more than
     # the free coefficients: coefficients 0 .. j - 1 run over a block.
-    top = d if monic else d + 1
+    top = d if one else d + 1
     j = min(top, 1)
     while j < top and n**(j + 1) <= _BLOCK:
         j += 1
-    # A monic table is the window [p^d, 2 p^d) of the degree <= d table.
-    tables = [(p, _sieve(p, d, p**d, 2 * p**d) if monic else _sieve(p, d),
-               p**d if monic else 0) for p, _ in factors]
+    tables = [(p, _sieve(p, d, a * p**d, b * p**d), a * p**d)
+              for p, _ in factors
+              for a, b in [(lead % p, lead % p + 1) if one else (0, p)]]
     size, count = n**j, 0
     for block in range(lo // size, -(-hi // size)):
         at = block * size
@@ -190,8 +188,8 @@ def count_range(n: int, d: int, mode: Mode, lo: int, hi: int) -> int:
 
 class _Pool(contextlib.ExitStack):
     """The process pool for one command.  Its workers are capped at one
-    per CPU; each query's space is split into that many index ranges, and
-    the pool is started at the first split and shut down when the command
+    per CPU; each walk's range is split into that many ranges, and the
+    pool is started at the first split and shut down when the command
     leaves it."""
 
     def __init__(self, workers: int):
@@ -200,42 +198,38 @@ class _Pool(contextlib.ExitStack):
                         else min(workers, os.cpu_count() or 1))
         self._executor = None
 
-    def count(self, m: Modulus, d: int, mode: Mode, budget: int) -> int:
-        """enumerate_count on this pool."""
-        size = census.size(m.n, d, mode)
-        if size > budget:
-            raise BudgetExceeded(size, budget)
-        return self.walk(m, d, mode, size)
-
-    def walk(self, m: Modulus, d: int, mode: Mode, size: int) -> int:
-        """Count the query's space of `size` tuples."""
-        n, w = m.n, self.workers
+    def walk(self, n: int, lo: int, hi: int) -> int:
+        """count_range(n, lo, hi), split across the workers."""
+        w = self.workers
         if w <= 1:
-            return count_range(n, d, mode, 0, size)
+            return count_range(n, lo, hi)
         if self._executor is None:
             # Read as oracle.ProcessPoolExecutor, where it may be replaced.
             pool = (globals().get("ProcessPoolExecutor")
                     or __getattr__("ProcessPoolExecutor"))
             self._executor = self.enter_context(pool(max_workers=w))
-        bounds = [size * i // w for i in range(w + 1)]
-        return sum(self._executor.map(count_range, [n] * w, [d] * w,
-                                      [mode] * w, bounds[:-1], bounds[1:]))
+        bounds = [lo + (hi - lo) * i // w for i in range(w + 1)]
+        return sum(self._executor.map(count_range, [n] * w, bounds[:-1],
+                                      bounds[1:]))
 
 
 def enumerate_count(m: Modulus, d: int, mode: Mode,
                     budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
-    """Exact count of separable polynomials in the set census.size(m.n, d,
-    mode) sizes; with workers > 1 its index ranges run on at most one
+    """Exact count of separable polynomials in the set census.window(m.n,
+    d, mode) places; with workers > 1 its index range runs on at most one
     process per CPU."""
+    lo, hi = census.window(m.n, d, mode)
+    if hi - lo > budget:
+        raise BudgetExceeded(hi - lo, budget)
     with _Pool(workers) as pool:
-        return pool.count(m, d, mode, budget)
+        return pool.walk(m.n, lo, hi)
 
 
 def crt_product_count(m: Modulus, d: int, mode: Mode,
                       budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
     """enumerate_count via the CRT decomposition: enumerate each prime-power
-    component separately and multiply the component counts.  Every walk
-    runs on one pool.
+    component separately and multiply the component counts.  The budget
+    holds the total of every walk, and every walk runs on one pool.
 
     Exponentially cheaper than the full ring (Z/120 at d = 3 costs
     8^4 + 3^4 + 5^4 = 4802 tests instead of 120^4).  For exact-degree
@@ -243,15 +237,17 @@ def crt_product_count(m: Modulus, d: int, mode: Mode,
     (nonzero mod n is not componentwise), so the count is taken as the
     difference of two degree <= d products.
     """
-    mode = Mode(mode)
+    queries = ([(d, Mode.LEQ), (d - 1, Mode.LEQ)]
+               if Mode(mode) is Mode.EXACT and d >= 1 else [(d, mode)])
+    products = [[(p**k, census.window(p**k, e, q)) for p, k in m.factors]
+                for e, q in queries]
+    total = sum(hi - lo for walks in products for _, (lo, hi) in walks)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     with _Pool(workers) as pool:
-        def product(d: int, mode: Mode) -> int:
-            return math.prod(pool.count(Modulus(p**k), d, mode, budget)
-                             for p, k in m.factors)
-
-        if mode is Mode.EXACT and d >= 1:
-            return product(d, Mode.LEQ) - product(d - 1, Mode.LEQ)
-        return product(d, mode)
+        counts = [math.prod(pool.walk(q, lo, hi) for q, (lo, hi) in walks)
+                  for walks in products]
+    return counts[0] - sum(counts[1:])
 
 
 class VerificationReport(namedtuple(
@@ -274,15 +270,15 @@ def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
     workers > 1 the queries share one process pool."""
     if d_max < 0:
         raise DomainError(f"d_max must be >= 0, got {d_max}")
-    census.size(m.n, d_max, Mode.LEQ)  # the largest set; refused if too large
+    census.window(m.n, d_max, Mode.LEQ)  # the largest set, if too large
     reports = []
     with _Pool(workers) as pool:
         for d in range(d_max + 1):
             for mode in Mode:
                 formula = census.count(m, d, mode)
-                size = census.size(m.n, d, mode)
+                lo, hi = census.window(m.n, d, mode)
                 start = time.perf_counter()
-                oracle = None if size > budget else pool.walk(m, d, mode, size)
+                oracle = None if hi - lo > budget else pool.walk(m.n, lo, hi)
                 reports.append(VerificationReport(
                     d, mode, oracle, formula,
                     None if oracle is None else oracle == formula,

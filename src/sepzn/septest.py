@@ -129,20 +129,15 @@ def is_separable_monic(f: PolyZn) -> bool:
 
 
 def _separable_coeffs_mod_p(coeffs, p: int) -> bool:
-    """Core field test: f over Z/p is separable iff f is a nonzero constant
-    or gcd(f, f') is a nonzero constant."""
+    """Core field test: f over Z/p is separable iff gcd(f, f') is a nonzero
+    constant: f itself when f is one, and 0 when f is 0."""
     f = [c % p for c in coeffs]
     while f and f[-1] == 0:
         f.pop()
-    if not f:
-        return False
-    if len(f) == 1:
-        return True
     fp = [(i * c) % p for i, c in enumerate(f)][1:]
     while fp and fp[-1] == 0:
         fp.pop()
-    g = _gcd_lists(f, fp, p)
-    return len(g) == 1
+    return len(_gcd_lists(f, fp, p)) == 1
 
 
 def _rem_lists(a, b, p):

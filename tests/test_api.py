@@ -67,3 +67,25 @@ def test_discriminant_shares_no_code_with_the_gcd_route():
             assert getattr(node, "id", None) != "factorize", name
             assert getattr(node, "attr", None) not in {"factors",
                                                        "factorize"}, name
+
+
+def test_walk_takes_no_mode():
+    # The walk counts a range of one index of all polynomials; only
+    # census.window places a mode's set in it.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    bodies = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            bodies[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            bodies.update((f"{node.name}.{f.name}", f) for f in node.body
+                          if isinstance(f, ast.FunctionDef))
+
+    def names(name):
+        return {getattr(node, "id", None) or getattr(node, "arg", None)
+                or getattr(node, "attr", None)
+                for node in ast.walk(bodies[name])}
+
+    assert {"Mode", "mode"} <= names("enumerate_count")
+    for name in ("count_range", "_sieve", "_tile", "_Pool.walk"):
+        assert not names(name) & {"Mode", "mode"}, name

@@ -14,10 +14,15 @@ from sepzn.census import (
     count_separable_leq_primepower,
     geometric_sum,
     proportion_monic_separable,
-    size,
+    window,
 )
 
 FIRST_FIFTEEN_PRIMES_PRODUCT = 614889782588491410
+
+
+def set_size(n, d, mode):
+    start, stop = window(n, d, mode)
+    return stop - start
 
 
 class TestCarlitz:
@@ -124,7 +129,7 @@ class TestLeqComposite:
             count_separable_leq_primepower(2, 3, 4)
 
     def test_z6_degree_one(self):
-        r, total = count(Modulus(6), 1, Mode.LEQ), size(6, 1, Mode.LEQ)
+        r, total = count(Modulus(6), 1, Mode.LEQ), set_size(6, 1, Mode.LEQ)
         assert r == 24
         assert total == 36
         assert Fraction(r, total) == Fraction(2, 3)
@@ -165,8 +170,20 @@ class TestCount:
         for n in (2, 6, 12, 120):
             m = Modulus(n)
             for d in range(5):
-                r = count(m, d, mode.value), size(n, d, mode.value)
+                r = count(m, d, mode.value), set_size(n, d, mode.value)
                 assert r == (formula(m, d), total(n, d))
+
+    @pytest.mark.parametrize("mode, start, stop", [
+        (Mode.MONIC, lambda n, d: n**d, lambda n, d: 2 * n**d),
+        (Mode.LEQ, lambda n, d: 0, lambda n, d: n ** (d + 1)),
+        (Mode.EXACT, lambda n, d: n**d, lambda n, d: n ** (d + 1)),
+    ])
+    def test_window_places_each_set(self, mode, start, stop):
+        # Index sum c_i n^i: the monic set has c_d = 1, the exact set
+        # c_d != 0, both above every polynomial of lower degree.
+        for n in (2, 6, 12, 120):
+            for d in range(5):
+                assert window(n, d, mode.value) == (start(n, d), stop(n, d))
 
 
 class TestRecurrence:

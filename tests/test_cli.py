@@ -460,8 +460,27 @@ def test_table_streams_rows(monkeypatch):
         assert cli.run(["table", "--n-min", "2", "--n-max", "4",
                         "--d-min", "0", "--d-max", "1"]) == 0
     # One count per row after the header; the checks of the range take
-    # set sizes only.
+    # set sizes and the primes of its corners only.
     assert written == list(range(1, 7))
+
+
+@pytest.mark.parametrize("n_min, n_max, rows", [
+    (2**89 - 2, 2**89 - 1, 0),  # n_max cannot be factored
+    (2**89 - 1, 2**89, 0),      # nor n_min
+    (2**89 - 2, 2**89, 1),      # nor an n inside the range
+])
+def test_table_refuses_what_it_cannot_factor(capsys, n_min, n_max, rows):
+    # The corners are factored before the first row, so nothing is written;
+    # an n inside the range ends the table after the rows before it (the
+    # header and the row of 2^89 - 2).
+    argv = ["table", "--n-min", str(n_min), "--n-max", str(n_max),
+            "--d-min", "1", "--d-max", "1"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (reference_table(n_min, n_min + rows - 1, 1, 1,
+                                            "leq", "csv") if rows else "")
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("domain error: cannot factor")
 
 
 # Moduli up to 10^30 whose factorization is quick: products of small and
@@ -676,7 +695,8 @@ def reference_table(n_min, n_max, d_min, d_max, mode, fmt):
     for n in range(n_min, n_max + 1):
         for d in range(d_min, d_max + 1):
             r = census.count(Modulus(n), d, census.Mode(mode))
-            p = Fraction(r, census.size(n, d, mode))
+            start, stop = census.window(n, d, mode)
+            p = Fraction(r, stop - start)
             proportion = f"{p.numerator}/{p.denominator}"
             if fmt == "csv":
                 writer.writerow([n, d, mode, r, proportion])

@@ -57,7 +57,15 @@ def serial_pool(monkeypatch):
 
 
 def space_size(n, d, mode):
-    return census.size(n, d, mode)
+    start, stop = census.window(n, d, mode)
+    return stop - start
+
+
+def count_in(n, d, mode, lo, hi):
+    """count_range over indices [lo, hi) of one mode's set: the same range
+    moved to the set's start in the index of all polynomials."""
+    start, _ = census.window(n, d, mode)
+    return count_range(n, start + lo, start + hi)
 
 
 class TestEnumerateCount:
@@ -109,10 +117,10 @@ class TestDeterminismAndPartition:
 
     def test_partition_soundness(self):
         size = space_size(10, 2, Mode.EXACT)
-        whole = count_range(10, 2, Mode.EXACT, 0, size)
+        whole = count_in(10, 2, Mode.EXACT, 0, size)
         for pieces in (3, 7, 11):
             bounds = [size * i // pieces for i in range(pieces + 1)]
-            parts = [count_range(10, 2, Mode.EXACT, lo, hi)
+            parts = [count_in(10, 2, Mode.EXACT, lo, hi)
                      for lo, hi in zip(bounds, bounds[1:])]
             assert sum(parts) == whole
 
@@ -207,6 +215,25 @@ class TestCrtProductCount:
     def test_z6_degree_one(self):
         assert crt_product_count(Modulus(6), 1, Mode.LEQ) == 24
 
+    @pytest.mark.parametrize("n, d, mode, total", [
+        (120, 3, Mode.LEQ, 8**4 + 3**4 + 5**4),
+        # Two degree <= d products: 4^3 + 3^3 + 4^2 + 3^2 tuples.
+        (12, 2, Mode.EXACT, 116)])
+    def test_budget_holds_every_walk(self, monkeypatch, n, d, mode, total):
+        # The budget holds the walks' total, refused before any walk.
+        m = Modulus(n)
+        assert crt_product_count(m, d, mode, budget=total) == \
+            census.count(m, d, mode)
+
+        def refuse(*args):
+            raise AssertionError(args)
+
+        monkeypatch.setattr(oracle, "count_range", refuse)
+        for budget in (total - 1, 10):
+            with pytest.raises(BudgetExceeded) as e:
+                crt_product_count(m, d, mode, budget=budget)
+            assert (e.value.required, e.value.budget) == (total, budget)
+
 
 class TestVerify:
     def test_z6_all_match(self):
@@ -228,7 +255,7 @@ class TestVerify:
 
     def test_counts_each_query_once(self, monkeypatch):
         # One census.count per query (the up-front check of the largest set
-        # is a census.size), and a skipped query builds no BudgetExceeded
+        # is a census.window), and a skipped query builds no BudgetExceeded
         # (whose message would print the set size).
         calls, refusals = [], []
         count = census.count
@@ -269,10 +296,6 @@ class TestNegativeDegree:
     def test_query_rejects_negative_degree(self):
         with pytest.raises(DomainError):
             enumerate_count(Modulus(6), -1, Mode.LEQ)
-
-    def test_count_range_rejects_negative_degree(self):
-        with pytest.raises(DomainError):
-            count_range(6, -1, Mode.MONIC, 0, 1)
 
     def test_verify_rejects_negative_d_max(self):
         with pytest.raises(DomainError):
@@ -327,7 +350,7 @@ class TestWalkProperties:
         hi = data.draw(st.integers(min_value=lo,
                                    max_value=min(size, lo + 400)))
         with mock.patch.object(oracle, "_BLOCK", data.draw(block_caps(n))):
-            count = count_range(n, d, mode, lo, hi)
+            count = count_in(n, d, mode, lo, hi)
         assert count == reference_count(n, d, mode, lo, hi)
 
     @settings(max_examples=100, deadline=None)
@@ -338,16 +361,16 @@ class TestWalkProperties:
             st.integers(min_value=0, max_value=size), max_size=6)))
         bounds = [0] + cuts + [size]
         with mock.patch.object(oracle, "_BLOCK", data.draw(block_caps(n))):
-            parts = [count_range(n, d, mode, lo, hi)
+            parts = [count_in(n, d, mode, lo, hi)
                      for lo, hi in zip(bounds, bounds[1:])]
-        assert sum(parts) == count_range(n, d, mode, 0, size)
+        assert sum(parts) == count_in(n, d, mode, 0, size)
 
     @pytest.mark.parametrize("n, d", [(6, 5), (30, 3)])
     def test_work_follows_blocks(self, n, d):
         # The walk's Python work is per block of n^j tuples and per p
         # table entries of each prime's tiling, not per row of n tuples.
         size = space_size(n, d, Mode.LEQ)
-        count, lines = lines_run(count_range, n, d, Mode.LEQ, 0, size,
+        count, lines = lines_run(count_range, n, 0, size,
                                  also=[oracle._tile])
         assert count == census.count(Modulus(n), d, Mode.LEQ)
         assert size >= 10 * lines
@@ -360,7 +383,7 @@ class TestWalkProperties:
         size = space_size(n, d, Mode.LEQ)
         tracemalloc.start()
         try:
-            count = count_range(n, d, Mode.LEQ, 0, size)
+            count = count_in(n, d, Mode.LEQ, 0, size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -373,7 +396,7 @@ class TestWalkProperties:
         # take a few steps, not one each.
         n = 2 * 3 * 174763
         assert n > oracle._BLOCK
-        count, lines = lines_run(count_range, n, d, mode, 0, n,
+        count, lines = lines_run(count_range, n, *census.window(n, d, mode),
                                  also=[oracle._tile])
         assert count == census.count(Modulus(n), d, mode)
         assert lines < 200
@@ -399,6 +422,22 @@ def kernel_table(p, d, lo, hi):
                      for t in low)
 
 
+def kernel_associates(p, d):
+    """kernel_table(p, d, 0, p^(d + 1)), with the gcd kernel run once per
+    monic polynomial: a unit multiple a f is separable exactly when f is,
+    so every other entry takes the verdict of its monic associate."""
+    table = bytearray(p**(d + 1))  # 0 at the zero polynomial
+    for e in range(d + 1):
+        monic = kernel_table(p, e, p**e, 2 * p**e)
+        for a in range(1, p):
+            # a f has coefficient a c_i mod p where f has c_i, and a at x^e.
+            places = [[a * c % p * p**i for c in range(p)]
+                      for i in reversed(range(e))]
+            for t, verdict in zip(itertools.product(*places), monic):
+                table[a * p**e + sum(t)] = verdict
+    return table
+
+
 @st.composite
 def tables(draw):
     # A whole table of at most 13^5 entries; else (degree 5 for p >= 11,
@@ -414,10 +453,21 @@ class TestSieve:
     @pytest.mark.parametrize("monic", [True, False])
     def test_tables_match_gcd_kernel(self, p, monic):
         # Every entry of every table with at most 5 free coefficients: the
-        # monic polynomials of degree d are the window [p^d, 2 p^d).
+        # monic polynomials of degree d are the window [p^d, 2 p^d), and
+        # the whole tables of degree d < 5 are prefixes of the one of
+        # degree 4.
+        whole = None if monic else kernel_associates(p, 4)
         for d in range(6 if monic else 5):
             lo, hi = (p**d, 2 * p**d) if monic else (0, p**(d + 1))
-            assert oracle._sieve(p, d, lo, hi) == kernel_table(p, d, lo, hi)
+            reference = kernel_table(p, d, lo, hi) if monic else whole[lo:hi]
+            assert oracle._sieve(p, d, lo, hi) == reference
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_associates_are_the_gcd_kernel(self, p):
+        # The reference above, against the kernel run on every entry.
+        for d in range(4):
+            whole = kernel_table(p, d, 0, p**(d + 1))
+            assert kernel_associates(p, d) == whole
 
     @pytest.mark.parametrize("p, d, monic", [
         (2, 6, True), (3, 6, True), (5, 6, True), (2, 7, True), (3, 7, True),
@@ -499,7 +549,7 @@ class TestSieve:
         lo = data.draw(st.integers(min_value=0, max_value=size))
         hi = data.draw(st.integers(min_value=lo,
                                    max_value=min(size, lo + 400)))
-        assert count_range(p, d, mode, lo, hi) == reference_count(
+        assert count_in(p, d, mode, lo, hi) == reference_count(
             p, d, mode, lo, hi)
 
     @pytest.mark.parametrize("mode, size", [(Mode.LEQ, 101**3),
@@ -510,7 +560,7 @@ class TestSieve:
         # time.
         tracemalloc.start()
         try:
-            count = count_range(101, 2, mode, 0, size)
+            count = count_in(101, 2, mode, 0, size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
