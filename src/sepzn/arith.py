@@ -123,11 +123,20 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 k += 1
             exponents[p] = k
         p += 1 if p == 2 else 2
+    # The smallest cofactor first, and each certified prime divided out of
+    # every cofactor left: a prime power p^k takes a few splits, not k.
     cofactors = [m] if m > 1 else []
     while cofactors:
-        m = cofactors.pop()
+        m = min(cofactors)
+        cofactors.remove(m)
         if _is_certified_prime(m, n):
-            exponents[m] = exponents.get(m, 0) + 1
+            exponents[m] = 1
+            for i, c in enumerate(cofactors):
+                while c % m == 0:
+                    c //= m
+                    exponents[m] += 1
+                cofactors[i] = c
+            cofactors = [c for c in cofactors if c > 1]
         else:
             d = _rho_divisor(m, n)
             cofactors += (d, m // d)

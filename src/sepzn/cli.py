@@ -70,40 +70,11 @@ def _cmd_factor(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    m = Modulus(args.n)
-    f = parse(args.poly, m)
-    _emit("check", {"n": m.n, "polynomial": str(f)},
-          {"type": "bool", "value": is_separable(f)}, "formula")
-    return 0
-
-
-def _cmd_disc(args) -> int:
-    m = Modulus(args.n)
-    f = parse(args.poly, m)
-    _emit("disc", {"n": m.n, "polynomial": str(f)},
-          {"type": "residue", "value": discriminant(f), "modulus": m.n},
-          "formula")
-    return 0
-
-
-# trace-form prints N^2 residues of up to as many digits as n has, and
-# refuses a monic f of degree N modulo a b-digit n when N^2 b exceeds this.
-MAX_TRACE_DIGITS = 2**24
-
-
-def _cmd_trace_form(args) -> int:
-    m = Modulus(args.n)
-    f = parse(args.poly, m)
-    digits = len(str(m.n))
-    if f.is_monic() and f.degree**2 * digits > MAX_TRACE_DIGITS:
-        raise DomainError(
-            f"trace-form takes degree <= "
-            f"{math.isqrt(MAX_TRACE_DIGITS // digits)} modulo a {digits}-digit "
-            f"n, got degree {f.degree}")
-    _emit("trace-form", {"n": m.n, "polynomial": str(f)},
-          {"type": "matrix", "modulus": m.n,
-           "entries": [list(row) for row in trace_form(f)]}, "formula")
+def _cmd_poly(args) -> int:
+    """check, disc or trace-form: the sub-parser's result(f), for f mod n."""
+    f = parse(args.poly, Modulus(args.n))
+    _emit(args.command, {"n": f.modulus.n, "polynomial": str(f)},
+          args.result(f), "formula")
     return 0
 
 
@@ -203,11 +174,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("factor", _cmd_factor, help="prime factorization of n")
     p.add_argument("-n", type=int, required=True)
 
-    for name, func, text in [
-            ("check", _cmd_check, "decide separability of a polynomial"),
-            ("disc", _cmd_disc, "trace-form discriminant of a monic polynomial"),
-            ("trace-form", _cmd_trace_form, "trace-form matrix of a monic polynomial")]:
-        p = add(name, func, help=text)
+    for name, text, result in [
+            ("check", "decide separability of a polynomial",
+             lambda f: {"type": "bool", "value": is_separable(f)}),
+            ("disc", "trace-form discriminant of a monic polynomial",
+             lambda f: {"type": "residue", "value": discriminant(f),
+                        "modulus": f.modulus.n}),
+            ("trace-form", "trace-form matrix of a monic polynomial",
+             lambda f: {"type": "matrix", "modulus": f.modulus.n,
+                        "entries": [list(row) for row in trace_form(f)]})]:
+        p = add(name, _cmd_poly, help=text)
+        p.set_defaults(result=result)
         p.add_argument("-n", type=int, required=True)
         p.add_argument("-f", dest="poly", required=True,
                        help="polynomial, e.g. '3x^2+x+5' or '5,1,3'")

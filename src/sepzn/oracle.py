@@ -25,7 +25,8 @@ is 1.  A range inside one value c of the top coefficient, as the monic set
 [n^d, 2 n^d) is, reads only the window [(c mod p) p^d, (c mod p + 1) p^d)
 of each table.  The distinct primes of a composite n sum to at most n - 1,
 so the tables hold no more bytes than the space has tuples: the budget
-bounds memory as well as time.  A range is split across parallel workers,
+bounds memory as well as time, and MAX_TABLE_BYTES bounds the tables
+however far the budget is raised.  A range is split across parallel workers,
 each sieving its own tables, and their counts are summed.
 """
 
@@ -47,6 +48,9 @@ from .poly import PolyZn  # noqa: F401
 DEFAULT_BUDGET = 10**8
 # Tuples per block of the composite walk (see count_range).
 _BLOCK = 2**20
+# The most bytes the composite walk's tables may hold at once: p^(d+1) for
+# the largest prime p | n outgrows memory under a raised budget.
+MAX_TABLE_BYTES = 2**30
 
 
 def __getattr__(name: str):
@@ -69,12 +73,11 @@ class BudgetExceeded(DomainError):
         self.required, self.budget = required, budget
 
 
-def _sieve(p: int, d: int, lo: int = 0, hi: int | None = None) -> bytearray:
+def _sieve(p: int, d: int, lo: int, hi: int) -> bytearray:
     """Separability over Z/p of the polynomials f of degree <= d with table
-    indices sum f_i p^i in [lo, hi) (by default the whole table), one byte
-    each.  The work is the window's marks plus, for each monic g of degree
-    e <= d/2, only the steps its run of multiples in the window needs."""
-    hi = p**(d + 1) if hi is None else hi
+    indices sum f_i p^i in [lo, hi), one byte each.  The work is the
+    window's marks plus, for each monic g of degree e <= d/2, only the
+    steps its run of multiples in the window needs."""
     table = bytearray(b"\1") * max(hi - lo, 0)
     if lo == 0 < hi:
         table[0] = 0  # the zero polynomial
@@ -151,7 +154,8 @@ def count_range(n: int, lo: int, hi: int) -> int:
 
     Prime n holds one table chunk at a time.  Composite n is walked in
     blocks of n^j tuples, n^j <= max(_BLOCK, n): the peak memory is the
-    tables' bytes plus about three blocks, within 4 max(_BLOCK, n) bytes."""
+    tables' bytes plus about three blocks, within 4 max(_BLOCK, n) bytes.
+    Tables of more than MAX_TABLE_BYTES are refused before any is sieved."""
     d = next(e for e in itertools.count() if n**(e + 1) >= hi)
     factors = factorize(n)
     if factors == ((n, 1),):
@@ -170,9 +174,12 @@ def count_range(n: int, lo: int, hi: int) -> int:
     j = min(top, 1)
     while j < top and n**(j + 1) <= _BLOCK:
         j += 1
-    tables = [(p, _sieve(p, d, a * p**d, b * p**d), a * p**d)
-              for p, _ in factors
-              for a, b in [(lead % p, lead % p + 1) if one else (0, p)]]
+    windows = [(p, a * p**d, b * p**d) for p, _ in factors
+               for a, b in [(lead % p, lead % p + 1) if one else (0, p)]]
+    if (held := sum(b - a for _, a, b in windows)) > MAX_TABLE_BYTES:
+        raise DomainError(f"enumeration needs tables of {held} bytes, more "
+                          f"than the {MAX_TABLE_BYTES} it holds")
+    tables = [(p, _sieve(p, d, a, b), a) for p, a, b in windows]
     size, count = n**j, 0
     for block in range(lo // size, -(-hi // size)):
         at = block * size

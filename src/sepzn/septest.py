@@ -24,10 +24,15 @@ def _require_monic(f: PolyZn):
         raise DomainError("a monic polynomial of degree >= 1 is required")
 
 
+# trace-form's bound: N^2 residues of up to as many digits as n has, so a
+# monic f of degree N modulo a b-digit n is refused when N^2 b exceeds it.
+MAX_TRACE_DIGITS = 2**24
+
+
 def trace_form(f: PolyZn) -> tuple[tuple[int, ...], ...]:
     """The trace form of a monic f = x^N + c_1 x^(N-1) + ... + c_N: the
     symmetric N x N matrix whose entry (i, j) is tr(x^(i+j)) on Z/n[x]/f,
-    reduced into [0, n).
+    reduced into [0, n).  Raises DomainError above MAX_TRACE_DIGITS.
 
     tr(x^k) is the power sum s_k of the roots of f, given by Newton's
     identities:
@@ -40,6 +45,13 @@ def trace_form(f: PolyZn) -> tuple[tuple[int, ...], ...]:
     """
     _require_monic(f)
     n, big_n = f.modulus.n, f.degree
+    digits = n.bit_length() * 1233 >> 12  # at most n's decimal digits,
+    while n >= 10**digits:  # counted without str(), which stops at 4300
+        digits += 1
+    if big_n**2 * digits > MAX_TRACE_DIGITS:
+        most = math.isqrt(MAX_TRACE_DIGITS // digits)
+        raise DomainError(f"trace-form takes degree <= {most} modulo a "
+                          f"{digits}-digit n, got degree {big_n}")
     c = f.coeffs[::-1]  # c[i] is the coefficient of x^(N-i)
     s = [big_n % n]
     for k in range(1, 2 * big_n - 1):

@@ -135,6 +135,24 @@ class TestFactorize:
         with pytest.raises(DomainError, match="rho steps"):
             factorize(999983 * 1000003)
 
+    @pytest.mark.parametrize("n, factors", [
+        (1009**400, ((1009, 400),)),
+        (1009**100 * 1013**100, ((1009, 100), (1013, 100))),
+        (1009**3 * 1013**2 * 999983**5, ((1009, 3), (1013, 2), (999983, 5))),
+    ], ids=["1009^400", "1009^100*1013^100", "three-prime-powers"])
+    def test_prime_powers_take_few_splits(self, monkeypatch, n, factors):
+        # Each certified prime is divided out of every cofactor left, so a
+        # power of a prime above the trial bound is not split again and
+        # again: splitting each cofactor found takes 399, 199 and 9 rho
+        # calls on these n.
+        calls = []
+        divisor = arith._rho_divisor
+        monkeypatch.setattr(arith, "_rho_divisor",
+                            lambda m, n: calls.append(m) or divisor(m, n))
+        factorize.cache_clear()
+        assert factorize(n) == factors
+        assert len(calls) <= 4
+
     def test_cache_is_bounded(self):
         assert factorize.cache_info().maxsize is not None
 

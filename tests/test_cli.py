@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepzn import arith, census, cli
+from sepzn import arith, census, cli, oracle
 from sepzn.arith import Modulus
 
 
@@ -131,6 +131,23 @@ def test_enumerate_budget_exceeded(capsys):
                     "--budget", "1000"]) == 2
 
 
+def test_enumerate_refuses_tables_beyond_memory(capsys, monkeypatch):
+    # 1048578 = 2 * 3 * 174763: degree <= 1 needs a table of 174763^2 bytes,
+    # above oracle.MAX_TABLE_BYTES however far the budget is raised.  The
+    # refusal comes before any table is sieved.
+    def sieve(*args):
+        raise AssertionError("a table was sieved")
+
+    monkeypatch.setattr(oracle, "_sieve", sieve)
+    assert cli.run(["enumerate", "--mode", "exact", "-n", "1048578", "-d",
+                    "1", "--budget", "2000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("domain error: enumeration needs tables of "
+                            "30542106182 bytes, more than the 1073741824 it "
+                            "holds\n")
+
+
 def test_verify_ok(capsys):
     status, recs = run_lines(capsys, ["verify", "-n", "6", "--d-max", "1"])
     assert status == 0
@@ -140,7 +157,6 @@ def test_verify_ok(capsys):
 
 
 def test_verify_mismatch_exits_3(capsys, monkeypatch):
-    from sepzn import oracle
     monkeypatch.setattr(oracle.census, "count_monic_separable",
                         lambda m, d: 999)
     status, recs = run_lines(capsys, ["verify", "-n", "6", "--d-max", "1"])

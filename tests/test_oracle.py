@@ -390,6 +390,33 @@ class TestWalkProperties:
         assert count == census.count(Modulus(n), d, Mode.LEQ)
         assert peak <= tables + 4 * max(oracle._BLOCK, n)
 
+    @pytest.mark.parametrize("n, d, mode", [
+        (6, 3, Mode.LEQ), (4, 4, Mode.EXACT), (30, 2, Mode.MONIC)])
+    def test_table_bound_is_exact(self, monkeypatch, n, d, mode):
+        # The tables are p^(d+1) bytes per prime p | n, or p^d when the
+        # range holds one value of x^d, as the monic set does; they are
+        # walked at MAX_TABLE_BYTES and refused one byte below it.
+        top = d if mode is Mode.MONIC else d + 1
+        held = sum(p**top for p, _ in Modulus(n).factors)
+        lo, hi = census.window(n, d, mode)
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", held)
+        assert count_range(n, lo, hi) == census.count(Modulus(n), d, mode)
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", held - 1)
+        with pytest.raises(DomainError, match=f"tables of {held} bytes"):
+            count_range(n, lo, hi)
+
+    def test_tables_beyond_bound_refused_before_any_is_sieved(
+            self, monkeypatch):
+        # Degree <= 1 over Z/(2 * 3 * 174763) holds a table of 174763^2
+        # bytes, about 3 * 10^10: refused before any table is sieved.
+        def sieve(*args):
+            raise AssertionError("a table was sieved")
+
+        monkeypatch.setattr(oracle, "_sieve", sieve)
+        n = 2 * 3 * 174763
+        with pytest.raises(DomainError, match="tables of 30542106182 bytes"):
+            count_range(n, *census.window(n, 1, Mode.EXACT))
+
     @pytest.mark.parametrize("d, mode", [(0, Mode.LEQ), (1, Mode.MONIC)])
     def test_modulus_above_block(self, d, mode):
         # n > _BLOCK: a block still spans coefficient 0, so the n tuples
@@ -438,6 +465,28 @@ def kernel_associates(p, d):
     return table
 
 
+def kernel_shifts(p, d):
+    """kernel_table(p, d, p^d, 2 p^d) for d >= 2 and p not dividing d, with
+    the gcd kernel run once per monic f of degree d with no x^(d-1) term:
+    every monic polynomial of degree d is f(x + s) for one such f and one
+    s, and a shift keeps separability.  The p polynomials f that differ
+    only in their constant term c shift to g + c, g = f(x + s) - f(0), so
+    their verdicts fill one run of p entries, rotated by g(0)."""
+    monic = kernel_table(p, d, p**d, p**d + p**(d - 1))  # no x^(d-1) term
+    table = bytearray(p**d)
+    for s in range(p):
+        for r in range(p**(d - 2)):  # digit i - 1 of r: coefficient i of f
+            g = []  # f(x + s) - f(0) by Horner, from the coefficient of x^d
+            for c in [1, 0, *(r // p**(i - 1) % p
+                              for i in range(d - 2, 0, -1)), 0]:
+                g = [(s * a + b) % p for a, b in zip([*g, 0], [0, *g])]
+                g[0] = (g[0] + c) % p
+            run, k = monic[r * p:(r + 1) * p], g[0]
+            at = sum(c * p**i for i, c in enumerate(g[1:d], 1))
+            table[at:at + p] = run[-k:] + run[:-k] if k else run
+    return table
+
+
 @st.composite
 def tables(draw):
     # A whole table of at most 13^5 entries; else (degree 5 for p >= 11,
@@ -459,7 +508,12 @@ class TestSieve:
         whole = None if monic else kernel_associates(p, 4)
         for d in range(6 if monic else 5):
             lo, hi = (p**d, 2 * p**d) if monic else (0, p**(d + 1))
-            reference = kernel_table(p, d, lo, hi) if monic else whole[lo:hi]
+            if not monic:
+                reference = whole[lo:hi]
+            elif d > 1 and d % p:
+                reference = kernel_shifts(p, d)
+            else:
+                reference = kernel_table(p, d, lo, hi)
             assert oracle._sieve(p, d, lo, hi) == reference
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -468,6 +522,14 @@ class TestSieve:
         for d in range(4):
             whole = kernel_table(p, d, 0, p**(d + 1))
             assert kernel_associates(p, d) == whole
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_shifts_are_the_gcd_kernel(self, p):
+        # The monic reference above, against the kernel run on every entry.
+        for d in range(2, 6):
+            if d % p:
+                monic = kernel_table(p, d, p**d, 2 * p**d)
+                assert kernel_shifts(p, d) == monic
 
     @pytest.mark.parametrize("p, d, monic", [
         (2, 6, True), (3, 6, True), (5, 6, True), (2, 7, True), (3, 7, True),

@@ -11,6 +11,7 @@ from sepzn.poly import PolyZn, parse
 from sepzn.septest import (
     MAX_DET_WORK,
     MAX_GCD_WORK,
+    MAX_TRACE_DIGITS,
     _det_mod,
     discriminant,
     is_separable,
@@ -121,6 +122,47 @@ class TestTraceForm:
                     for i in range(deg):
                         for j in range(deg):
                             assert form[i][j] == form[j][i]
+
+    @pytest.mark.parametrize("digits, degree, most", [
+        (4096, 64, None),   # 64^2 * 4096 = 2^24
+        (4096, 65, 64),
+        (5001, 57, None),   # beyond the 4300 digits str() converts
+        (5001, 58, 57),
+    ])
+    def test_output_bound(self, digits, degree, most):
+        # Degree N modulo a b-digit n is taken while N^2 b is within
+        # MAX_TRACE_DIGITS, called as a library function too.  The power
+        # sums of the roots of x^N - 1 are N at multiples of N, else 0.
+        n = 10 ** (digits - 1)
+        f = PolyZn(Modulus(n), (n - 1,) + (0,) * (degree - 1) + (1,))
+        if most is None:
+            assert trace_form(f) == tuple(
+                tuple(degree if (i + j) % degree == 0 else 0
+                      for j in range(degree)) for i in range(degree))
+            return
+        with pytest.raises(DomainError) as refusal:
+            trace_form(f)
+        assert str(refusal.value) == (
+            f"trace-form takes degree <= {most} modulo a {digits}-digit n, "
+            f"got degree {degree}")
+        # A polynomial that is not monic is refused as such first.
+        with pytest.raises(DomainError, match="monic"):
+            trace_form(f * 2)
+
+    def test_disc_bound_lies_within_trace_form_bound(self):
+        # discriminant builds the trace form only at degrees its own bound
+        # takes.  For each bit length b of the n the CLI reads, the largest
+        # degree disc takes modulo a b-bit n passes trace-form's bound at
+        # the most digits a b-bit n has, those of 2^b - 1.
+        digits, power = 1, 10
+        for bits in range(2, 14300):
+            while power < 2**bits:
+                digits, power = digits + 1, power * 10
+            step = bits + 32 + bits * bits // 768
+            most = round((MAX_DET_WORK / step) ** (1 / 3)) + 1
+            while most**3 * step > MAX_DET_WORK:
+                most -= 1
+            assert most**2 * digits <= MAX_TRACE_DIGITS
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.sampled_from([2, 3, 5, 7, 101, 1009, MERSENNE_61]),
