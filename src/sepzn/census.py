@@ -12,8 +12,9 @@ coefficient tuples of length d + 1, zero polynomial included.
 from __future__ import annotations
 
 from enum import Enum
+from math import prod
 
-from .arith import DomainError, Modulus, totient, totient_prime_power
+from .arith import DomainError, Modulus, totient_prime_power
 
 
 class Mode(str, Enum):
@@ -35,24 +36,37 @@ def _require_degree(d: int):
         raise DomainError(f"degree must be >= 0, got {d}")
 
 
+def _counts(factors, ds: range, mode: Mode) -> list[int]:
+    """The count of one mode at each degree of ds (a range of step 1) over
+    the product of the prime powers p^k in factors, one p^k at a time: the
+    one home of each formula, whose one-degree case the public counts are."""
+    _require_degree(ds.start)
+    if mode == "exact":  # leq(d) - leq(d - 1), and phi(n) = leq(0) at d = 0
+        leq = _counts(factors, range(max(ds.start - 1, 0), ds.stop), Mode.LEQ)
+        steps = [b - a for a, b in zip(leq, leq[1:])]
+        return (leq[:1] if ds.start == 0 else []) + steps
+    columns = []  # one per prime power, one term per degree
+    for p, k in factors:
+        if mode == "monic":  # 1, p^k, then phi(p^(kd)) from d = 2
+            columns.append([q if d < 2 else q - q // p
+                            for d in ds for q in [p ** (k * d)]])
+        else:  # phi(p^k) p^((k-1)d) (p^d + 1), and phi(p^k) at d = 0
+            phi = totient_prime_power(p, k)
+            columns.append([phi * p ** ((k - 1) * d) * (p**d + 1) if d else phi
+                            for d in ds])
+    return list(map(prod, zip(*columns)))
+
+
 def count_monic_separable_primepower(p: int, k: int, d: int) -> int:
     """Monic separable polynomials of degree d over Z/p^k: phi(p^(kd)) for
     d >= 2 (Carlitz's p^d - p^(d-1) at k = 1); p^k for d = 1; 1 for d = 0."""
-    _require_degree(d)
-    if d == 0:
-        return 1
-    if d == 1:
-        return p**k
-    return totient_prime_power(p, k * d)
+    return _counts([(p, k)], range(d, d + 1), Mode.MONIC)[0]
 
 
 def count_monic_separable(m: Modulus, d: int) -> int:
     """Monic separable polynomials of degree d over Z/n, by multiplicativity
     across the CRT components; equals phi(n^d) for d >= 2."""
-    result = 1
-    for p, k in m.factors:
-        result *= count_monic_separable_primepower(p, k, d)
-    return result
+    return _counts(m.factors, range(d, d + 1), Mode.MONIC)[0]
 
 
 def proportion_monic_separable(m: Modulus, d: int = 2) -> Fraction:
@@ -61,44 +75,24 @@ def proportion_monic_separable(m: Modulus, d: int = 2) -> Fraction:
     if d < 2:
         raise DomainError(f"the proportion formula requires d >= 2, got {d}")
     from fractions import Fraction  # imported here: nothing else needs it
-    result = Fraction(1)
-    for p, _ in m.factors:
-        result *= Fraction(p - 1, p)
-    return result
+    return prod(Fraction(p - 1, p) for p, _ in m.factors)
 
 
 def count_separable_leq_primepower(p: int, k: int, d: int) -> int:
     """Separable polynomials of degree <= d over Z/p^k (arbitrary leading
     coefficient): phi(p^k) * p^((k-1)d) * (p^d + 1); phi(p^k) at d = 0."""
-    _require_degree(d)
-    phi = totient_prime_power(p, k)
-    if d == 0:
-        return phi
-    return phi * p ** ((k - 1) * d) * (p**d + 1)
+    return _counts([(p, k)], range(d, d + 1), Mode.LEQ)[0]
 
 
 def count_separable_leq(m: Modulus, d: int) -> int:
     """Separable polynomials of degree <= d over Z/n, over all n^(d+1)
     coefficient tuples, by multiplicativity across the CRT components."""
-    result = 1
-    for p, k in m.factors:
-        result *= count_separable_leq_primepower(p, k, d)
-    return result
+    return _counts(m.factors, range(d, d + 1), Mode.LEQ)[0]
 
 
 def count_separable_exact(m: Modulus, d: int) -> int:
-    """Separable polynomials of degree exactly d over Z/n."""
-    if d == 0:
-        return totient(m)
-    return count_separable_leq(m, d) - count_separable_leq(m, d - 1)
-
-
-# The formula of each mode, looked up as a module attribute at each call so
-# that a replaced formula is the one used.  Mode is a str Enum: a member and
-# its value find one entry.
-_MODES = {Mode.MONIC: lambda m, d: count_monic_separable(m, d),
-          Mode.LEQ: lambda m, d: count_separable_leq(m, d),
-          Mode.EXACT: lambda m, d: count_separable_exact(m, d)}
+    """Separable polynomials of degree exactly d over Z/n: phi(n) at d = 0."""
+    return _counts(m.factors, range(d, d + 1), Mode.EXACT)[0]
 
 
 def window(n: int, d: int, mode: Mode) -> tuple[int, int]:
@@ -106,7 +100,7 @@ def window(n: int, d: int, mode: Mode) -> tuple[int, int]:
     counts over Z/n, from n alone: [n^d, 2 n^d) monic, [0, n^(d+1)) degree
     <= d, [n^d, n^(d+1)) degree exactly d.  Refuses a set whose size has
     more than MAX_DIGITS decimal digits."""
-    if mode not in _MODES:
+    if type(mode) is not Mode:
         mode = Mode(mode)  # or ValueError
     _require_degree(d)
     # Every set holds at least n^d >= 2^(d(bits - 1)) tuples, so the test of
@@ -121,10 +115,18 @@ def window(n: int, d: int, mode: Mode) -> tuple[int, int]:
                       f"of more than {MAX_DIGITS} digits")
 
 
+def counts(m: Modulus, ds: range, mode: Mode) -> list[int]:
+    """The separable count of one mode at every degree of ds, from one pass
+    over n's prime powers; refuses what window refuses at the largest d."""
+    if not ds:
+        return []
+    window(m.n, ds[-1], mode)  # refuses a bad mode, degree or size first
+    return _counts(m.factors, ds, mode)
+
+
 def count(m: Modulus, d: int, mode: Mode) -> int:
     """The separable count of one mode, over a set that window accepts."""
-    window(m.n, d, mode)  # refuses a bad mode or degree first
-    return _MODES[mode](m, d)
+    return counts(m, range(d, d + 1), mode)[0]
 
 
 def count_leq_recurrence(p: int, k: int, d: int) -> int:

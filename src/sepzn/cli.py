@@ -136,24 +136,24 @@ def _cmd_table(args) -> int:
             census.window(args.n_max, d, mode)
         for n in (args.n_min, args.n_max):
             factorize(n)
-    # One template per command, filled with n, d, mode, count, proportion:
-    # the row csv.writer (excel dialect) writes for these quote-free fields,
-    # or the line _emit writes for the row's record.
+    # One template per command, filled with n, d, mode, count and count/size
+    # in lowest terms: the row csv.writer (excel dialect) writes for these
+    # quote-free fields, or the line _emit writes for the row's record.
     write, name = sys.stdout.write, mode.value
     if args.format == "csv":
         write("n,d,mode,count,proportion\r\n")
-        row = "%d,%d,%s,%d,%s\r\n"
+        row = "%d,%d,%s,%d,%d/%d\r\n"
     else:
         row = ('{"command": "table", "inputs": {"n": %d, "d": %d, '
                '"mode": "%s"}, "result": {"type": "count", "value": %d, '
-               '"proportion": "%s"}, "provenance": "formula"}\n')
-    for n in ns:
-        m = Modulus(n)
-        for d in ds:
-            count = census.count(m, d, mode)
-            start, stop = census.window(n, d, mode)
-            fields = _rational("proportion", count, stop - start)
-            write(row % (n, d, name, count, fields["proportion"]))
+               '"proportion": "%d/%d"}, "provenance": "formula"}\n')
+    for n in ns if ds else ():  # one count of every degree per n
+        start, stop = census.window(n, args.d_min, mode)
+        size = stop - start  # n times larger at the next d, in every mode
+        for d, count in zip(ds, census.counts(Modulus(n), ds, mode)):
+            g = math.gcd(count, size)
+            write(row % (n, d, name, count, count // g, size // g))
+            size *= n
     return 0
 
 
@@ -165,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "procedures, counting formulas, and a "
                                  "brute-force verification oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = [m.value for m in census.Mode]
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -190,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polynomial, e.g. '3x^2+x+5' or '5,1,3'")
 
     p = add("count", _cmd_count, help="closed-form separable count")
-    p.add_argument("--mode", choices=[m.value for m in census.Mode],
-                   default="leq")
+    p.add_argument("--mode", choices=modes, default="leq")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
@@ -203,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
 
     p = add("enumerate", _cmd_enumerate, help="brute-force separable count")
-    p.add_argument("--mode", choices=[m.value for m in census.Mode],
-                   default="leq")
+    p.add_argument("--mode", choices=modes, default="leq")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
@@ -224,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--d-min", type=int, required=True)
     p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in census.Mode],
-                   default="leq")
+    p.add_argument("--mode", choices=modes, default="leq")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 
     return parser

@@ -148,6 +148,24 @@ def _tile(table: bytearray, at: int, p: int, n: int,
                     for c in range(p)) * (n // p)
 
 
+def _layout(n: int, lo: int, hi: int) -> tuple[int, bool, list]:
+    """d, the degree of index hi - 1; whether [lo, hi) has one value c of
+    x^d; and, for composite n, the window (p, a, b) of each prime p's table
+    that count_range reads: [c mod p, c mod p + 1) p^d if so, else
+    [0, p^(d+1)).  Refuses tables of more than MAX_TABLE_BYTES in all."""
+    d = next(e for e in itertools.count() if n**(e + 1) >= hi)
+    lead = lo // n**d
+    one = lead == (hi - 1) // n**d
+    factors = factorize(n)
+    windows = [] if factors == ((n, 1),) else [
+        (p, a * p**d, b * p**d) for p, _ in factors
+        for a, b in [(lead % p, lead % p + 1) if one else (0, p)]]
+    if (held := sum(b - a for _, a, b in windows)) > MAX_TABLE_BYTES:
+        raise DomainError(f"enumeration needs tables of {held} bytes, more "
+                          f"than the {MAX_TABLE_BYTES} it holds")
+    return d, one, windows
+
+
 def count_range(n: int, lo: int, hi: int) -> int:
     """The number of separable polynomials over Z/n among indices [lo, hi),
     index sum c_i n^i naming sum c_i x^i; d is the degree of index hi - 1.
@@ -156,29 +174,20 @@ def count_range(n: int, lo: int, hi: int) -> int:
     blocks of n^j tuples, n^j <= max(_BLOCK, n): the peak memory is the
     tables' bytes plus about three blocks, within 4 max(_BLOCK, n) bytes.
     Tables of more than MAX_TABLE_BYTES are refused before any is sieved."""
-    d = next(e for e in itertools.count() if n**(e + 1) >= hi)
-    factors = factorize(n)
-    if factors == ((n, 1),):
+    d, one, windows = _layout(n, lo, hi)
+    if not windows:  # prime n
         # No fewer entries than monic g of degree <= d/2: each chunk sets up
         # every g again.
         step = max(4 * _BLOCK, sum(n**e for e in range(1, d // 2 + 1)))
         return sum(_sieve(n, d, a, min(a + step, hi)).count(1)
                    for a in range(lo, hi, step))
-    # x^d runs over [c mod p, c mod p + 1) of each table when the range
-    # has one value c of it (its blocks then leave it out), else [0, p).
-    lead = lo // n**d
-    one = lead == (hi - 1) // n**d
     # The largest j with n^j <= _BLOCK, but at least 1, and no more than
-    # the free coefficients: coefficients 0 .. j - 1 run over a block.
+    # the free coefficients: coefficients 0 .. j - 1 run over a block (x^d
+    # too, unless the range has one value of it).
     top = d if one else d + 1
     j = min(top, 1)
     while j < top and n**(j + 1) <= _BLOCK:
         j += 1
-    windows = [(p, a * p**d, b * p**d) for p, _ in factors
-               for a, b in [(lead % p, lead % p + 1) if one else (0, p)]]
-    if (held := sum(b - a for _, a, b in windows)) > MAX_TABLE_BYTES:
-        raise DomainError(f"enumeration needs tables of {held} bytes, more "
-                          f"than the {MAX_TABLE_BYTES} it holds")
     tables = [(p, _sieve(p, d, a, b), a) for p, a, b in windows]
     size, count = n**j, 0
     for block in range(lo // size, -(-hi // size)):
@@ -210,12 +219,14 @@ class _Pool(contextlib.ExitStack):
         w = self.workers
         if w <= 1:
             return count_range(n, lo, hi)
+        bounds = [lo + (hi - lo) * i // w for i in range(w + 1)]
+        for a, b in zip(bounds, bounds[1:]):
+            _layout(n, a, b)  # a worker's refusal, before the pool starts
         if self._executor is None:
             # Read as oracle.ProcessPoolExecutor, where it may be replaced.
             pool = (globals().get("ProcessPoolExecutor")
                     or __getattr__("ProcessPoolExecutor"))
             self._executor = self.enter_context(pool(max_workers=w))
-        bounds = [lo + (hi - lo) * i // w for i in range(w + 1)]
         return sum(self._executor.map(count_range, [n] * w, bounds[:-1],
                                       bounds[1:]))
 

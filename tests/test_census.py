@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepzn.arith import DomainError, Modulus, totient_prime_power
+from sepzn.arith import DomainError, Modulus, totient, totient_prime_power
 from sepzn.census import (
     Mode,
     count,
@@ -12,6 +15,7 @@ from sepzn.census import (
     count_separable_exact,
     count_separable_leq,
     count_separable_leq_primepower,
+    counts,
     geometric_sum,
     proportion_monic_separable,
     window,
@@ -184,6 +188,56 @@ class TestCount:
         for n in (2, 6, 12, 120):
             for d in range(5):
                 assert window(n, d, mode.value) == (start(n, d), stop(n, d))
+
+
+PRIME_POWERS = st.sampled_from([2, 3, 5, 7, 101, 1009, 999983]).flatmap(
+    lambda p: st.integers(min_value=1, max_value=int(math.log(10**12, p)))
+    .map(lambda k: p**k))
+ONE_DEGREE = {Mode.MONIC: count_monic_separable,
+              Mode.LEQ: count_separable_leq,
+              Mode.EXACT: count_separable_exact}
+
+
+class TestCounts:
+    @staticmethod
+    def leq(m, d):
+        """Degree <= d by the recurrence over each prime power, phi(n) at
+        d = 0 and 0 below it."""
+        if d < 1:
+            return totient(m) if d == 0 else 0
+        return math.prod(count_leq_recurrence(p, k, d) for p, k in m.factors)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(st.integers(min_value=2, max_value=10**12),
+                     PRIME_POWERS),
+           st.sampled_from(list(Mode)),
+           st.integers(min_value=0, max_value=13),
+           st.integers(min_value=0, max_value=13))
+    def test_match_independent_forms(self, n, mode, d_min, stop):
+        # ds inside [0, 12], empty where d_min >= stop.
+        m, ds = Modulus(n), range(d_min, stop)
+        values = counts(m, ds, mode)
+        assert values == [count(m, d, mode) for d in ds] \
+            == [ONE_DEGREE[mode](m, d) for d in ds]
+        for d, value in zip(ds, values):
+            if mode is Mode.LEQ:
+                assert value == self.leq(m, d)
+            elif mode is Mode.EXACT:  # telescopes to degree <= d
+                assert value == self.leq(m, d) - self.leq(m, d - 1)
+            else:
+                assert value == [1, n, totient(m) * n ** (d - 1)][min(d, 2)]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_refuse_what_window_refuses_at_the_largest_degree(self, mode):
+        # Decided before n is factored: 2^89 - 1 cannot be.
+        m = Modulus(2**89 - 1)
+        with pytest.raises(DomainError, match="at d = 20000 has a size"):
+            counts(m, range(0, 20001), mode)
+        with pytest.raises(DomainError, match="cannot factor"):
+            counts(m, range(0, 2), mode)
+        with pytest.raises(DomainError, match="degree must be >= 0, got -1"):
+            counts(Modulus(6), range(-1, 2), mode)
+        assert counts(m, range(3, 3), mode) == []
 
 
 class TestRecurrence:

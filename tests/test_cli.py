@@ -148,6 +148,24 @@ def test_enumerate_refuses_tables_beyond_memory(capsys, monkeypatch):
                             "holds\n")
 
 
+def test_pooled_enumerate_refuses_tables_before_the_pool(capsys,
+                                                        monkeypatch):
+    # The same refusal at --workers 2, decided in this process: no pool is
+    # started for a query whose workers would each refuse.
+    def pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    assert cli.run(["enumerate", "--mode", "exact", "-n", "1048578", "-d",
+                    "1", "--budget", "2000000000000", "--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("domain error: enumeration needs tables of "
+                            "30542106182 bytes, more than the 1073741824 it "
+                            "holds\n")
+
+
 def test_verify_ok(capsys):
     status, recs = run_lines(capsys, ["verify", "-n", "6", "--d-max", "1"])
     assert status == 0
@@ -157,8 +175,10 @@ def test_verify_ok(capsys):
 
 
 def test_verify_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(oracle.census, "count_monic_separable",
-                        lambda m, d: 999)
+    # A wrong monic formula, at the census call verify takes per query.
+    count = oracle.census.count
+    monkeypatch.setattr(oracle.census, "count", lambda m, d, mode: 999
+                        if mode is census.Mode.MONIC else count(m, d, mode))
     status, recs = run_lines(capsys, ["verify", "-n", "6", "--d-max", "1"])
     assert status == 3
     assert any(r["result"]["match"] is False for r in recs)
@@ -462,22 +482,27 @@ def test_largest_printable_set(capsys):
 
 
 def test_table_streams_rows(monkeypatch):
-    # Each row is written before the next count is taken.
+    # Each n's rows are written before the next n is counted, and each n
+    # is factored once (through Modulus.factors; the corners' check before
+    # the first row fills factorize's cache).
     out = io.StringIO()
-    written = []
-    count = cli.census.count
+    written, factored = [], []
+    counts, factorize = cli.census.counts, arith.factorize
 
     def counting(*args):
         written.append(out.getvalue().count("\n"))
-        return count(*args)
+        return counts(*args)
 
-    monkeypatch.setattr(cli.census, "count", counting)
+    monkeypatch.setattr(cli.census, "counts", counting)
+    monkeypatch.setattr(arith, "factorize",
+                        lambda n: factored.append(n) or factorize(n))
     with contextlib.redirect_stdout(out):
         assert cli.run(["table", "--n-min", "2", "--n-max", "4",
                         "--d-min", "0", "--d-max", "1"]) == 0
-    # One count per row after the header; the checks of the range take
-    # set sizes and the primes of its corners only.
-    assert written == list(range(1, 7))
+    # One counts call per n after the header, and two rows per n.
+    assert written == [1, 3, 5]
+    assert factored == [2, 3, 4]
+    assert out.getvalue().count("\n") == 7
 
 
 @pytest.mark.parametrize("n_min, n_max, rows", [

@@ -92,7 +92,7 @@ class TestEnumerateCount:
 
         monkeypatch.setattr(arith, "factorize", refuse)
         for name in ("count_monic_separable", "count_separable_leq",
-                     "count_separable_exact"):
+                     "count_separable_exact", "counts"):
             monkeypatch.setattr(census, name, refuse)
         with pytest.raises(BudgetExceeded):  # 2^89 - 1: factorize refuses it
             enumerate_count(Modulus(2**89 - 1), 3, mode, budget=10**8)
