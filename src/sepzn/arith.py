@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd, prod
+from operator import index
 
 
 class DomainError(ValueError):
@@ -150,7 +151,7 @@ class Modulus:
     """
 
     def __init__(self, n: int):
-        n = abs(int(n))
+        n = abs(index(n))
         if n < 2:
             raise DomainError(f"modulus must satisfy |n| >= 2, got {n}")
         self.n = n

@@ -57,12 +57,6 @@ def _counts(factors, ds: range, mode: Mode) -> list[int]:
     return list(map(prod, zip(*columns)))
 
 
-def count_monic_separable_primepower(p: int, k: int, d: int) -> int:
-    """Monic separable polynomials of degree d over Z/p^k: phi(p^(kd)) for
-    d >= 2 (Carlitz's p^d - p^(d-1) at k = 1); p^k for d = 1; 1 for d = 0."""
-    return _counts([(p, k)], range(d, d + 1), Mode.MONIC)[0]
-
-
 def count_monic_separable(m: Modulus, d: int) -> int:
     """Monic separable polynomials of degree d over Z/n, by multiplicativity
     across the CRT components; equals phi(n^d) for d >= 2."""

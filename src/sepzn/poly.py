@@ -7,12 +7,22 @@ the empty tuple and has degree None (a marker, never -1).
 
 from __future__ import annotations
 
+import re
+from operator import index
+
 from .arith import DomainError, Modulus
 
 # Largest degree either grammar accepts, checked before the coefficient list
 # is allocated or any entry converted: "x^99999999999" is a parse error, not
 # a 100 GB list, and so is a comma list of more than MAX_EXPONENT + 1 entries.
 MAX_EXPONENT = 1024
+
+# One term of the term grammar and the sign of the next: a coefficient, x or
+# both, then ^ and an exponent, with blanks between any two tokens.  Every
+# part is optional, so a match always succeeds; where it stops short of a
+# whole term is where the text is wrong.  On a str pattern, \s and \d take
+# exactly what str.isspace and str.isdecimal take.
+_TERM = re.compile(r"\s*(\d*)\s*(?:(x)\s*(?:\^\s*(-?\d*))?)?\s*([-+]?)")
 
 
 class PolyParseError(ValueError):
@@ -24,8 +34,7 @@ class PolyParseError(ValueError):
 
 
 def _to_int(digits: str, position: int) -> int:
-    """A string that str.isdigit accepts, as an int.  int() refuses one of
-    more than 4300 digits, or one with a digit that is not decimal ('2²')."""
+    """Decimal digits as an int; int() refuses more than 4300 of them."""
     try:
         return int(digits)
     except ValueError:
@@ -40,7 +49,7 @@ class PolyZn:
 
     def __init__(self, modulus: Modulus, coeffs):
         n = modulus.n
-        c = [int(a) % n for a in coeffs]
+        c = [index(a) % n for a in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.modulus = modulus
@@ -90,19 +99,12 @@ class PolyZn:
 
     def __str__(self):
         """The input grammar, highest degree first, e.g. '3x^2+x+5'."""
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                x = "x" if e == 1 else f"x^{e}"
-                parts.append(x if c == 1 else f"{c}{x}")
-        return "+".join(parts)
+            x = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+            if c := self.coeffs[e]:
+                terms.append(x if c == 1 and x else f"{c}{x}")
+        return "+".join(terms) or "0"
 
     def __repr__(self):
         return f"PolyZn({str(self)!r} mod {self.modulus.n})"
@@ -130,7 +132,7 @@ def _parse_coeff_list(text: str, modulus: Modulus) -> PolyZn:
     pos = 0
     for part in parts:
         entry = part.strip()
-        if not entry.isdigit():
+        if not entry.isdecimal():
             raise PolyParseError(f"expected a natural number, got {entry!r}", pos)
         coeffs.append(_to_int(entry, pos))
         pos += len(part) + 1
@@ -138,65 +140,31 @@ def _parse_coeff_list(text: str, modulus: Modulus) -> PolyZn:
 
 
 def _parse_terms(text: str, modulus: Modulus) -> PolyZn:
-    s = text
-    length = len(s)
     coeffs: dict[int, int] = {}
-
-    def skip_ws(i: int) -> int:
-        while i < length and s[i].isspace():
-            i += 1
-        return i
-
-    def read_nat(i: int) -> tuple[int, int]:
-        j = i
-        while j < length and s[j].isdigit():
-            j += 1
-        if j == i:
-            raise PolyParseError("expected a number", i)
-        return _to_int(s[i:j], i), j
-
-    i = skip_ws(0)
-    if i == length:
-        raise PolyParseError("empty polynomial", i)
-    sign = 1
+    m, sign = _TERM.match(text), 1
+    if m.start(1) == len(text):
+        raise PolyParseError("empty polynomial", m.start(1))
     while True:
-        # one term: coeff | coeff? 'x' ('^' nat)?
-        i = skip_ws(i)
-        if i < length and s[i].isdigit():
-            coeff, i = read_nat(i)
-        elif i < length and s[i] == "x":
-            coeff = 1
-        else:
-            raise PolyParseError("expected a term", i)
-        i = skip_ws(i)
-        if i < length and s[i] == "x":
-            i = skip_ws(i + 1)
-            if i < length and s[i] == "^":
-                i = skip_ws(i + 1)
-                if i < length and s[i] == "-":
-                    raise PolyParseError("negative exponent", i)
-                start = i
-                exponent, i = read_nat(i)
-                if exponent > MAX_EXPONENT:
-                    raise PolyParseError(
-                        f"exponent {exponent} is above the maximum degree "
-                        f"{MAX_EXPONENT}", start)
-            else:
-                exponent = 1
-        else:
-            exponent = 0
+        digits, x, power, after = m.groups()
+        if not (digits or x):
+            raise PolyParseError("expected a term", m.start(1))
+        coeff = _to_int(digits, m.start(1)) if digits else 1
+        exponent = 0 if x is None else 1
+        if power is not None:  # x^, then '-', digits or neither
+            at = m.start(3)
+            if not power.isdecimal():
+                raise PolyParseError("negative exponent" if power
+                                     else "expected a number", at)
+            exponent = _to_int(power, at)
+            if exponent > MAX_EXPONENT:
+                raise PolyParseError(f"exponent {exponent} is above the "
+                                     f"maximum degree {MAX_EXPONENT}", at)
         coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
-        i = skip_ws(i)
-        if i == length:
+        if not after:
             break
-        if s[i] == "+":
-            sign = 1
-        elif s[i] == "-":
-            sign = -1
-        else:
-            raise PolyParseError(f"unexpected character {s[i]!r}", i)
-        i += 1
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return PolyZn(modulus, out)
+        m, sign = _TERM.match(text, m.end()), -1 if after == "-" else 1
+    if m.end() < len(text):
+        raise PolyParseError(f"unexpected character {text[m.end()]!r}",
+                             m.end())
+    return PolyZn(modulus,
+                  [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])

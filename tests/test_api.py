@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import sepzn
@@ -28,6 +29,26 @@ def test_every_public_name_resolves():
 def test_budget_refusal_is_a_domain_error():
     # Every exit-2 refusal of the CLI is one exception class.
     assert issubclass(sepzn.BudgetExceeded, sepzn.DomainError)
+
+
+def test_package_imports_only_the_standard_library():
+    # The package is pure stdlib: every import names a standard module or,
+    # relatively, one of sepzn's own.
+    package = Path(sepzn.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or a.name for a in node.names]
+            else:
+                continue
+            if getattr(node, "level", 0):  # from .arith, or from . import x
+                assert all((package / f"{name}.py").exists()
+                           for name in names), (path.name, names)
+            else:
+                roots = {name.split(".")[0] for name in names}
+                assert roots <= sys.stdlib_module_names, (path.name, roots)
 
 
 def test_oracle_shares_no_code_with_septest():

@@ -1,6 +1,7 @@
 import functools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,12 @@ class TestModulus:
         assert calls == []
         assert m.factors == factorize(120) and calls == [120]
         assert m.factors == ((2, 3), (3, 1), (5, 1)) and calls == [120]
+
+    @pytest.mark.parametrize("n", [6.9, Fraction(13, 2), "6"])
+    def test_refuses_what_is_not_an_integer(self, n):
+        # Modulus(6.9) was Z/6: n is never truncated to an int.
+        with pytest.raises(TypeError):
+            Modulus(n)
 
 class TestTotient:
     def test_prime_power(self):

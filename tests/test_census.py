@@ -11,7 +11,6 @@ from sepzn.census import (
     count,
     count_leq_recurrence,
     count_monic_separable,
-    count_monic_separable_primepower,
     count_separable_exact,
     count_separable_leq,
     count_separable_leq_primepower,
@@ -33,35 +32,35 @@ class TestCarlitz:
     """Monic counts over a prime field Z/p: the prime-power count at k = 1."""
 
     def test_opening_question(self):
-        assert count_monic_separable_primepower(11, 1, 3) == 1210
+        assert count(Modulus(11), 3, Mode.MONIC) == 1210
         assert Fraction(1210, 11**3) == Fraction(10, 11)
 
     def test_mod2_quadratics(self):
         # of the 4 monic quadratics over Z/2, only x^2+x and x^2+x+1 separate
-        assert count_monic_separable_primepower(2, 1, 2) == 2
+        assert count(Modulus(2), 2, Mode.MONIC) == 2
 
     def test_all_linear_monics(self):
-        assert count_monic_separable_primepower(5, 1, 1) == 5
+        assert count(Modulus(5), 1, Mode.MONIC) == 5
 
     def test_degree_zero(self):
-        assert count_monic_separable_primepower(7, 1, 0) == 1
+        assert count(Modulus(7), 0, Mode.MONIC) == 1
 
 
 class TestMonicPrimePower:
     def test_small_prime_powers(self):
-        assert count_monic_separable_primepower(2, 2, 2) == 8    # phi(16)
-        assert count_monic_separable_primepower(3, 2, 2) == 54   # phi(81)
+        assert count(Modulus(2**2), 2, Mode.MONIC) == 8    # phi(16)
+        assert count(Modulus(3**2), 2, Mode.MONIC) == 54   # phi(81)
 
     def test_reduces_to_carlitz_at_k1(self):
         # Carlitz: p^d - p^(d-1) for d >= 2, p for d = 1, 1 for d = 0
         for p in (2, 3, 5, 7):
             carlitz = [1, p] + [p**d - p ** (d - 1) for d in range(2, 5)]
             for d in range(5):
-                assert count_monic_separable_primepower(p, 1, d) == carlitz[d]
+                assert count(Modulus(p), d, Mode.MONIC) == carlitz[d]
 
     def test_is_totient_of_power(self):
         for p, k, d in [(2, 2, 3), (3, 3, 2), (5, 2, 4)]:
-            assert count_monic_separable_primepower(p, k, d) == \
+            assert count(Modulus(p**k), d, Mode.MONIC) == \
                 totient_prime_power(p, k * d)
 
 
@@ -318,7 +317,7 @@ class TestErrata:
 class TestNegativeDegree:
     @pytest.mark.parametrize("call", [
         lambda: count(Modulus(5), -1, Mode.MONIC),
-        lambda: count_monic_separable_primepower(2, 3, -1),
+        lambda: count(Modulus(2**3), -1, Mode.MONIC),
         lambda: count_separable_leq_primepower(3, 2, -1),
         lambda: count_monic_separable(Modulus(6), -1),
         lambda: count_separable_leq(Modulus(6), -1),

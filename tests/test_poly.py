@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,42 @@ def all_polys(n, max_deg):
         yield PolyZn(m, coeffs)
 
 
+# Blanks that str.isspace takes, drawn between any two tokens of a term text.
+BLANKS = st.text(st.sampled_from(" \t\n\u00a0\u3000"), max_size=2)
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def term_texts(draw):
+    """A text in the term grammar and its terms as (exponent, signed
+    coefficient): terms in any order, exponents repeated, '-' between terms,
+    coefficients with leading zeros or in Arabic-Indic digits."""
+    terms, tokens = [], []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        sign = draw(st.sampled_from("+-")) if i else "+"
+        if i:
+            tokens.append(sign)
+        coeff = draw(st.none() | st.integers(min_value=0, max_value=10**30))
+        if coeff is not None:
+            digits = "0" * draw(st.integers(0, 2)) + str(coeff)
+            if draw(st.booleans()):
+                digits = digits.translate(ARABIC_INDIC)
+            tokens.append(digits)
+        exponent = 0
+        if coeff is None or draw(st.booleans()):
+            tokens.append("x")
+            exponent = draw(st.none() | st.integers(0, 5)
+                            | st.just(MAX_EXPONENT))
+            if exponent is None:
+                exponent = 1
+            else:
+                tokens += ["^", str(exponent)]
+        terms.append((exponent, (1 if coeff is None else coeff)
+                      * (-1 if sign == "-" else 1)))
+    return "".join(draw(BLANKS) + t for t in tokens) + draw(BLANKS), terms
+
+
 class TestCanonicalForm:
     def test_trailing_zeros_stripped(self):
         f = PolyZn(Modulus(6), (1, 2, 0, 0))
@@ -34,6 +71,15 @@ class TestCanonicalForm:
 
     def test_coefficients_reduced(self):
         assert PolyZn(Modulus(6), (7, -1)).coeffs == (1, 5)
+
+    @pytest.mark.parametrize("n, coeffs", [
+        (5, [2.9, 1.2]),        # was x + 2
+        (7, [Fraction(7, 2)]),  # was 3
+        (6, ["1"]),
+    ])
+    def test_refuses_coefficients_that_are_not_integers(self, n, coeffs):
+        with pytest.raises(TypeError):
+            PolyZn(Modulus(n), coeffs)
 
     def test_closed_under_operations(self):
         m = Modulus(4)
@@ -119,6 +165,37 @@ class TestParse:
                      "\u00b2x+1", "1,\u00b2"):  # superscript two: a digit
             with pytest.raises(PolyParseError):
                 parse(text, Modulus(6))
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("", "empty polynomial", 0),
+        ("  ", "empty polynomial", 2),
+        ("x^", "expected a number", 2),
+        ("x^-1", "negative exponent", 2),
+        ("+x", "expected a term", 0),
+        ("x+", "expected a term", 2),
+        ("2^3", "unexpected character '^'", 1),
+        ("3 4", "unexpected character '4'", 2),
+        ("x x", "unexpected character 'x'", 2),
+        ("x^1025", "exponent 1025 is above the maximum degree 1024", 2),
+        pytest.param("9" * 5000, "unreadable number: too long or not decimal",
+                     0, id="5000-digits"),
+        ("1,,2", "expected a natural number, got ''", 2),
+        ("1,x", "expected a natural number, got 'x'", 2),
+    ])
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(PolyParseError) as e:
+            parse(text, Modulus(6))
+        assert str(e.value) == f"{message} (at position {position})"
+        assert e.value.position == position
+
+    @given(st.integers(min_value=2, max_value=10**6), term_texts())
+    def test_terms_sum_by_exponent(self, n, drawn):
+        text, terms = drawn
+        total = {}
+        for e, c in terms:
+            total[e] = total.get(e, 0) + c
+        dense = [total.get(e, 0) for e in range(max(total) + 1)]
+        assert parse(text, Modulus(n)) == PolyZn(Modulus(n), dense)
 
     @given(st.integers(min_value=2, max_value=50),
            st.lists(st.integers(min_value=0, max_value=49), max_size=6))
