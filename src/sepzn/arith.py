@@ -98,7 +98,6 @@ def _rho_divisor(m: int, n: int) -> int:
             return g
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 2.
 
@@ -107,10 +106,32 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     Miller-Rabin below _MR_EXACT_BELOW) or split by Pollard-Brent rho.
     Raises DomainError for a probable-prime cofactor it cannot certify and
     for a composite cofactor that rho does not split within _RHO_STEP_CAP
-    steps.
+    steps.  Answers and refusals share one bounded cache, so a refused n
+    is refused again at once.
 
     Returns ((p1, k1), (p2, k2), ...) with primes strictly increasing.
     """
+    answer = _factorize(n)
+    if isinstance(answer, str):
+        raise DomainError(answer)
+    return answer
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _factorize(n: int) -> tuple[tuple[int, int], ...] | str:
+    """factorize(n), or the message of its refusal."""
+    try:
+        return _factors(n)
+    except DomainError as refusal:
+        return str(refusal)
+
+
+factorize.cache_clear = _factorize.cache_clear
+factorize.cache_info = _factorize.cache_info
+
+
+def _factors(n: int) -> tuple[tuple[int, int], ...]:
+    """factorize(n), uncached."""
     if n < 2:
         raise DomainError(f"cannot factor {n}: need an integer >= 2")
     exponents: dict[int, int] = {}
@@ -174,4 +195,5 @@ def totient(m: Modulus) -> int:
 
 def totient_prime_power(p: int, k: int) -> int:
     """phi(p^k) = p^k - p^(k-1) for k >= 1; phi(1) = 1 for k = 0."""
+    p, k = index(p), index(k)
     return p**k - p ** (k - 1) if k else 1

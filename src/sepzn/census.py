@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import prod
+from operator import index
 
 from .arith import DomainError, Modulus, totient_prime_power
 
@@ -75,6 +76,7 @@ def proportion_monic_separable(m: Modulus, d: int = 2) -> Fraction:
 def count_separable_leq_primepower(p: int, k: int, d: int) -> int:
     """Separable polynomials of degree <= d over Z/p^k (arbitrary leading
     coefficient): phi(p^k) * p^((k-1)d) * (p^d + 1); phi(p^k) at d = 0."""
+    p, k, d = index(p), index(k), index(d)
     return _counts([(p, k)], range(d, d + 1), Mode.LEQ)[0]
 
 
@@ -127,6 +129,7 @@ def count_leq_recurrence(p: int, k: int, d: int) -> int:
     """Degree <= d count over Z/p^k by the recurrence
     a_d = phi(p^(kd)) * phi(p^k) + p^(k-1) * a_(d-1),
     seeded with a_1 = phi(p^k) * (p^k + p^(k-1))."""
+    p, k, d = index(p), index(k), index(d)
     if d < 1:
         raise DomainError(f"the recurrence starts at d = 1, got {d}")
     phi = totient_prime_power(p, k)
@@ -139,6 +142,7 @@ def count_leq_recurrence(p: int, k: int, d: int) -> int:
 def geometric_sum(p: int, k: int, d: int) -> int:
     """Closed form p^((k-1)d+1) * (p^(d-1) - 1) of the sum
     phi(b^d) + l*phi(b^(d-1)) + ... + l^(d-2)*phi(b^2), b = p^k, l = p^(k-1)."""
+    p, k, d = index(p), index(k), index(d)
     if d < 2:
         raise DomainError(f"the sum is defined for d >= 2, got {d}")
     return p ** ((k - 1) * d + 1) * (p ** (d - 1) - 1)

@@ -139,13 +139,14 @@ def _tile(table: bytearray, at: int, p: int, n: int,
           j: int) -> bytes | bytearray:
     """Verdicts of the n^j tuples whose coefficients below j run over Z/n,
     coefficient 0 fastest, when coefficient i's residue c mod p adds c p^i
-    to the table index at: the p^j entries from at, tiled n/p times along
-    each coefficient."""
-    if j <= 1:
-        return table[at:at + p**j] * (n // p)**j
-    step = p**(j - 1)
-    return b"".join(_tile(table, at + c * step, p, n, j - 1)
-                    for c in range(p)) * (n // p)
+    to the table index at: the p^j entries from at, widened for i = 0 ..
+    j - 1 by repeating each run of n^i p bytes n/p times."""
+    run, size = table[at:at + p**j], p
+    for _ in range(j):
+        run = b"".join(run[k:k + size] * (n // p)
+                       for k in range(0, len(run), size))
+        size *= n
+    return run
 
 
 def _layout(n: int, lo: int, hi: int) -> tuple[int, bool, list]:
@@ -202,33 +203,30 @@ def count_range(n: int, lo: int, hi: int) -> int:
     return count
 
 
-class _Pool(contextlib.ExitStack):
-    """The process pool for one command.  Its workers are capped at one
-    per CPU; each walk's range is split into that many ranges, and the
-    pool is started at the first split and shut down when the command
-    leaves it."""
-
-    def __init__(self, workers: int):
-        super().__init__()
-        self.workers = (workers if workers <= 1
-                        else min(workers, os.cpu_count() or 1))
-        self._executor = None
-
-    def walk(self, n: int, lo: int, hi: int) -> int:
-        """count_range(n, lo, hi), split across the workers."""
-        w = self.workers
-        if w <= 1:
-            return count_range(n, lo, hi)
-        bounds = [lo + (hi - lo) * i // w for i in range(w + 1)]
-        for a, b in zip(bounds, bounds[1:]):
-            _layout(n, a, b)  # a worker's refusal, before the pool starts
-        if self._executor is None:
+def _walk(walks: list[tuple[int, int, int]],
+          workers: int) -> list[tuple[int, float]]:
+    """(count_range(n, lo, hi), seconds) of each walk (n, lo, hi) of a
+    command.  At workers > 1, at most one per CPU, each range is split per
+    worker, and every part is sized by _layout before one pool maps them."""
+    w = 1 if workers <= 1 else min(workers, os.cpu_count() or 1)
+    splits = [(n, [lo + (hi - lo) * i // w for i in range(w + 1)])
+              for n, lo, hi in walks]
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if w > 1 and walks:
+            for n, bounds in splits:
+                for a, b in zip(bounds, bounds[1:]):
+                    _layout(n, a, b)  # a worker's refusal, before the pool
             # Read as oracle.ProcessPoolExecutor, where it may be replaced.
             pool = (globals().get("ProcessPoolExecutor")
                     or __getattr__("ProcessPoolExecutor"))
-            self._executor = self.enter_context(pool(max_workers=w))
-        return sum(self._executor.map(count_range, [n] * w, bounds[:-1],
-                                      bounds[1:]))
+            mapper = stack.enter_context(pool(max_workers=w)).map
+        out = []
+        for n, bounds in splits:
+            start = time.perf_counter()
+            count = sum(mapper(count_range, [n] * w, bounds[:-1], bounds[1:]))
+            out.append((count, time.perf_counter() - start))
+        return out
 
 
 def enumerate_count(m: Modulus, d: int, mode: Mode,
@@ -239,8 +237,8 @@ def enumerate_count(m: Modulus, d: int, mode: Mode,
     lo, hi = census.window(m.n, d, mode)
     if hi - lo > budget:
         raise BudgetExceeded(hi - lo, budget)
-    with _Pool(workers) as pool:
-        return pool.walk(m.n, lo, hi)
+    [(count, _)] = _walk([(m.n, lo, hi)], workers)
+    return count
 
 
 def crt_product_count(m: Modulus, d: int, mode: Mode,
@@ -257,15 +255,15 @@ def crt_product_count(m: Modulus, d: int, mode: Mode,
     """
     queries = ([(d, Mode.LEQ), (d - 1, Mode.LEQ)]
                if Mode(mode) is Mode.EXACT and d >= 1 else [(d, mode)])
-    products = [[(p**k, census.window(p**k, e, q)) for p, k in m.factors]
-                for e, q in queries]
-    total = sum(hi - lo for walks in products for _, (lo, hi) in walks)
+    walks = [(p**k, *census.window(p**k, e, q))
+             for e, q in queries for p, k in m.factors]
+    total = sum(hi - lo for _, lo, hi in walks)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    with _Pool(workers) as pool:
-        counts = [math.prod(pool.walk(q, lo, hi) for q, (lo, hi) in walks)
-                  for walks in products]
-    return counts[0] - sum(counts[1:])
+    counts = (count for count, _ in _walk(walks, workers))
+    first, *rest = [math.prod(itertools.islice(counts, len(m.factors)))
+                    for _ in queries]
+    return first - sum(rest)
 
 
 class VerificationReport(namedtuple(
@@ -289,16 +287,15 @@ def verify(m: Modulus, d_max: int, budget: int = DEFAULT_BUDGET,
     if d_max < 0:
         raise DomainError(f"d_max must be >= 0, got {d_max}")
     census.window(m.n, d_max, Mode.LEQ)  # the largest set, if too large
+    queries = [(d, mode, census.count(m, d, mode), census.window(m.n, d, mode))
+               for d in range(d_max + 1) for mode in Mode]
+    walked = iter(_walk([(m.n, lo, hi) for *_, (lo, hi) in queries
+                         if hi - lo <= budget], workers))
     reports = []
-    with _Pool(workers) as pool:
-        for d in range(d_max + 1):
-            for mode in Mode:
-                formula = census.count(m, d, mode)
-                lo, hi = census.window(m.n, d, mode)
-                start = time.perf_counter()
-                oracle = None if hi - lo > budget else pool.walk(m.n, lo, hi)
-                reports.append(VerificationReport(
-                    d, mode, oracle, formula,
-                    None if oracle is None else oracle == formula,
-                    time.perf_counter() - start, skipped=oracle is None))
+    for d, mode, formula, (lo, hi) in queries:
+        oracle, elapsed = next(walked) if hi - lo <= budget else (None, 0.0)
+        reports.append(VerificationReport(
+            d, mode, oracle, formula,
+            None if oracle is None else oracle == formula, elapsed,
+            skipped=oracle is None))
     return reports

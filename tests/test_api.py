@@ -108,5 +108,5 @@ def test_walk_takes_no_mode():
                 for node in ast.walk(bodies[name])}
 
     assert {"Mode", "mode"} <= names("enumerate_count")
-    for name in ("count_range", "_sieve", "_tile", "_Pool.walk"):
+    for name in ("count_range", "_sieve", "_tile", "_walk"):
         assert not names(name) & {"Mode", "mode"}, name

@@ -135,6 +135,27 @@ class TestFactorize:
         factorize.cache_clear()
         with pytest.raises(DomainError, match="rho steps"):
             factorize(999983 * 1000003)
+        factorize.cache_clear()
+
+    def test_refusal_is_cached(self, monkeypatch):
+        # The second call on a refused n raises the same message from the
+        # cache, with no rho run again.
+        monkeypatch.setattr(arith, "_RHO_STEP_CAP", 64)
+        factorize.cache_clear()
+        try:
+            with pytest.raises(DomainError, match="rho steps") as first:
+                factorize(999983 * 1000003)
+
+            def divisor(*args):
+                raise AssertionError("rho ran again")
+
+            monkeypatch.setattr(arith, "_rho_divisor", divisor)
+            with pytest.raises(DomainError) as second:
+                factorize(999983 * 1000003)
+            assert str(second.value) == str(first.value)
+            assert factorize.cache_info().currsize == 1
+        finally:
+            factorize.cache_clear()
 
     @pytest.mark.parametrize("n, factors", [
         (1009**400, ((1009, 400),)),
@@ -196,6 +217,14 @@ class TestTotient:
     def test_conceptual_n_equals_one(self):
         # exposed for exponent arithmetic: phi(p^0) = 1
         assert totient_prime_power(5, 0) == 1
+
+    @pytest.mark.parametrize("bad", [5.0, Fraction(5), "5"])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_prime_power_refuses_what_is_not_an_integer(self, bad, at):
+        args = [5, 2]
+        args[at] = bad
+        with pytest.raises(TypeError):
+            totient_prime_power(*args)
 
 
 class TestTotientOfPower:

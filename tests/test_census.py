@@ -122,6 +122,15 @@ class TestLeqPrimePower:
             assert count_separable_leq_primepower(p, k, 0) == \
                 totient_prime_power(p, k)
 
+    @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_refuses_what_is_not_an_integer(self, bad, at):
+        # (2.0, 1, 2) gave 5.0: no exact count is a float.
+        args = [2, 1, 2]
+        args[at] = bad
+        with pytest.raises(TypeError):
+            count_separable_leq_primepower(*args)
+
 
 class TestLeqComposite:
     def test_z120_paper_value(self):
@@ -260,6 +269,15 @@ class TestRecurrence:
         with pytest.raises(DomainError):
             count_leq_recurrence(2, 1, 0)
 
+    @pytest.mark.parametrize("bad", [3.5, Fraction(7, 2), "3"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_refuses_what_is_not_an_integer(self, bad, at):
+        # (3.5, 1, 2) gave 33.125.
+        args = [3, 1, 2]
+        args[at] = bad
+        with pytest.raises(TypeError):
+            count_leq_recurrence(*args)
+
 
 class TestGeometricSum:
     @staticmethod
@@ -288,6 +306,15 @@ class TestGeometricSum:
     def test_rejects_low_degree(self):
         with pytest.raises(DomainError):
             geometric_sum(2, 1, 1)
+
+    @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), "2"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_refuses_what_is_not_an_integer(self, bad, at):
+        # (2.5, 1, 3) gave 13.125.
+        args = [2, 1, 3]
+        args[at] = bad
+        with pytest.raises(TypeError):
+            geometric_sum(*args)
 
 
 class TestErrata:

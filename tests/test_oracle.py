@@ -161,6 +161,20 @@ class TestDeterminismAndPartition:
         verify(Modulus(5), 2, budget=0, workers=2)  # every query skipped
         assert serial_pool.starts == [2]
 
+    def test_every_walk_sized_before_the_pool(self, monkeypatch):
+        # Every worker range of every query is sized in this process before
+        # any walk runs or a pool starts: Z/30's degree 2 queries need
+        # tables of 160 bytes, so the first query (d = 0) never runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked before every query was sized")
+
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 159)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(oracle, "count_range", refuse)
+        with pytest.raises(DomainError, match="tables of 160 bytes"):
+            verify(Modulus(30), 2, workers=2)
+
     def test_one_worker_reads_no_cpu_count(self, monkeypatch):
         def refuse():
             raise AssertionError("cpu_count read")
@@ -364,6 +378,24 @@ class TestWalkProperties:
             parts = [count_in(n, d, mode, lo, hi)
                      for lo, hi in zip(bounds, bounds[1:])]
         assert sum(parts) == count_in(n, d, mode, 0, size)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_tile_is_a_gather(self, data):
+        # Each tuple c of the block reads the table entry at
+        # at + sum (c_i mod p) p^i, coefficient 0 fastest.
+        n = data.draw(st.sampled_from([4, 6, 8, 9, 10, 12, 15, 18, 30]))
+        p = data.draw(st.sampled_from([q for q, _ in Modulus(n).factors]))
+        j = data.draw(st.integers(
+            min_value=0, max_value=max(j for j in range(8) if n**j <= 4000)))
+        table = bytearray(data.draw(st.binary(min_size=p**j,
+                                              max_size=p**j + 20)))
+        at = data.draw(st.integers(min_value=0,
+                                   max_value=len(table) - p**j))
+        gather = bytes(
+            table[at + sum(c_i % p * p**i for i, c_i in enumerate(c))]
+            for c in ([t // n**i % n for i in range(j)] for t in range(n**j)))
+        assert bytes(oracle._tile(table, at, p, n, j)) == gather
 
     @pytest.mark.parametrize("n, d", [(6, 5), (30, 3)])
     def test_work_follows_blocks(self, n, d):
