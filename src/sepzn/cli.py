@@ -31,7 +31,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(self, message)  # the (sub-)parser that failed
 
 
 def _emit(command: str, inputs: dict, result: dict, provenance: str):
@@ -62,53 +62,49 @@ def _rational(key: str, numerator: int, denominator: int,
     return fields
 
 
-def _cmd_factor(args) -> int:
+def _record(args) -> int:
+    """Every command of one record: the sub-parser's record(args, m), for
+    m = Modulus(n), gives the inputs after n, the result and the
+    provenance."""
     m = Modulus(args.n)
-    _emit("factor", {"n": m.n},
-          {"type": "factorization", "factors": [list(f) for f in m.factors]},
-          "formula")
+    inputs, result, provenance = args.record(args, m)
+    _emit(args.command, {"n": m.n, **inputs}, result, provenance)
     return 0
 
 
-def _cmd_poly(args) -> int:
+def _factor(args, m):
+    return {}, {"type": "factorization",
+                "factors": [list(f) for f in m.factors]}, "formula"
+
+
+def _poly(args, m):
     """check, disc or trace-form: the sub-parser's result(f), for f mod n."""
-    f = parse(args.poly, Modulus(args.n))
-    _emit(args.command, {"n": f.modulus.n, "polynomial": str(f)},
-          args.result(f), "formula")
-    return 0
+    f = parse(args.poly, m)
+    return {"polynomial": str(f)}, args.result(f), "formula"
 
 
-def _cmd_count(args) -> int:
-    m = Modulus(args.n)
+def _count(args, m):
     mode = census.Mode(args.mode)
     start, stop = census.window(m.n, args.d, mode)
     count = census.count(m, args.d, mode)
-    _emit("count", {"n": m.n, "d": args.d, "mode": mode.value},
-          {"type": "count", "value": count, "total": stop - start,
-           **_rational("proportion", count, stop - start, args.decimal)},
-          "formula")
-    return 0
+    return ({"d": args.d, "mode": mode.value},
+            {"type": "count", "value": count, "total": stop - start,
+             **_rational("proportion", count, stop - start, args.decimal)},
+            "formula")
 
 
-def _cmd_proportion(args) -> int:
-    m = Modulus(args.n)
+def _proportion(args, m):
     value = census.proportion_monic_separable(m, args.d)
-    _emit("proportion", {"n": m.n, "d": args.d},
-          {"type": "rational", **_rational("value", value.numerator,
-                                           value.denominator, args.decimal)},
-          "formula")
-    return 0
+    return {"d": args.d}, {"type": "rational", **_rational(
+        "value", value.numerator, value.denominator, args.decimal)}, "formula"
 
 
-def _cmd_enumerate(args) -> int:
-    m = Modulus(args.n)
+def _enumerate(args, m):
     mode = census.Mode(args.mode)
     count = (oracle.crt_product_count if args.crt else oracle.enumerate_count)(
         m, args.d, mode, budget=args.budget, workers=args.workers)
-    _emit("enumerate",
-          {"n": m.n, "d": args.d, "mode": mode.value, "crt": args.crt},
-          {"type": "count", "value": count}, "enumeration")
-    return 0
+    return ({"d": args.d, "mode": mode.value, "crt": args.crt},
+            {"type": "count", "value": count}, "enumeration")
 
 
 def _cmd_verify(args) -> int:
@@ -165,16 +161,28 @@ def build_parser() -> argparse.ArgumentParser:
                                  "procedures, counting formulas, and a "
                                  "brute-force verification oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
-    modes = [m.value for m in census.Mode]
+    whole = dict(type=int, required=True)
+    # Every option two commands share, declared once.
+    shared = {"-n": whole, "-d": whole, "--d-max": whole,
+              "-f": dict(dest="poly", required=True,
+                         help="polynomial, e.g. '3x^2+x+5' or '5,1,3'"),
+              "--mode": dict(choices=[m.value for m in census.Mode],
+                             default="leq"),
+              "--decimal": dict(type=int, default=None, metavar="DIGITS"),
+              "--budget": dict(type=int, default=oracle.DEFAULT_BUDGET),
+              "--workers": dict(type=int, default=1)}
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        return p
+    def add(name, text, options, func=_record, **defaults):
+        """Sub-command name with its options in order: names of shared ones
+        or (name, spec) pairs of its own."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func, **defaults)
+        for option in options:
+            flag, spec = ((option, shared[option]) if isinstance(option, str)
+                          else option)
+            p.add_argument(flag, **spec)
 
-    p = add("factor", _cmd_factor, help="prime factorization of n")
-    p.add_argument("-n", type=int, required=True)
-
+    add("factor", "prime factorization of n", ["-n"], record=_factor)
     for name, text, result in [
             ("check", "decide separability of a polynomial",
              lambda f: {"type": "bool", "value": is_separable(f)}),
@@ -184,47 +192,24 @@ def build_parser() -> argparse.ArgumentParser:
             ("trace-form", "trace-form matrix of a monic polynomial",
              lambda f: {"type": "matrix", "modulus": f.modulus.n,
                         "entries": [list(row) for row in trace_form(f)]})]:
-        p = add(name, _cmd_poly, help=text)
-        p.set_defaults(result=result)
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("-f", dest="poly", required=True,
-                       help="polynomial, e.g. '3x^2+x+5' or '5,1,3'")
-
-    p = add("count", _cmd_count, help="closed-form separable count")
-    p.add_argument("--mode", choices=modes, default="leq")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
-
-    p = add("proportion", _cmd_proportion,
-            help="proportion of monic degree-d polynomials that are separable")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, default=2)
-    p.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
-
-    p = add("enumerate", _cmd_enumerate, help="brute-force separable count")
-    p.add_argument("--mode", choices=modes, default="leq")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--crt", action="store_true",
-                   help="enumerate prime-power components and multiply")
-
-    p = add("verify", _cmd_verify,
-            help="compare formulas against the oracle for all d <= d-max")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
-
-    p = add("table", _cmd_table, help="counts over ranges of n and d")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--d-min", type=int, required=True)
-    p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--mode", choices=modes, default="leq")
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+        add(name, text, ["-n", "-f"], record=_poly, result=result)
+    add("count", "closed-form separable count",
+        ["--mode", "-n", "-d", "--decimal"], record=_count)
+    add("proportion",
+        "proportion of monic degree-d polynomials that are separable",
+        ["-n", ("-d", dict(type=int, default=2)), "--decimal"],
+        record=_proportion)
+    add("enumerate", "brute-force separable count",
+        ["--mode", "-n", "-d", "--budget", "--workers",
+         ("--crt", dict(action="store_true", help="enumerate prime-power "
+                        "components and multiply"))], record=_enumerate)
+    add("verify", "compare formulas against the oracle for all d <= d-max",
+        ["-n", "--d-max", "--budget", "--workers"], _cmd_verify)
+    add("table", "counts over ranges of n and d",
+        [("--n-min", whole), ("--n-max", whole), ("--d-min", whole),
+         "--d-max", "--mode",
+         ("--format", dict(choices=["csv", "jsonl"], default="csv"))],
+        _cmd_table)
 
     return parser
 
@@ -234,8 +219,9 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        failed, message = e.args
+        print(f"usage error: {message}", file=sys.stderr)
+        failed.print_usage(sys.stderr)
         return 1
     except SystemExit as e:  # --help
         return int(e.code or 0)

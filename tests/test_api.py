@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -110,3 +111,24 @@ def test_walk_takes_no_mode():
     assert {"Mode", "mode"} <= names("enumerate_count")
     for name in ("count_range", "_sieve", "_tile", "_walk"):
         assert not names(name) & {"Mode", "mode"}, name
+
+
+def test_size_tool_splits_every_line():
+    # tools/size.py splits each module's non-blank lines into code, comments
+    # and docstrings; the parts sum to the module's non-blank lines.
+    tool = Path(__file__).resolve().parent.parent / "tools" / "size.py"
+    out = subprocess.run([sys.executable, str(tool)], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0].split() == ["module", "code", "comment", "docstring",
+                              "total"]
+    rows = {name: [int(x) for x in rest]
+            for name, *rest in (line.split() for line in out[1:])}
+    assert rows.pop("__all__") == [len(sepzn.__all__)]
+    total = rows.pop("total")
+    package = Path(sepzn.__file__).parent
+    assert sorted(rows) == sorted(path.stem for path in package.glob("*.py"))
+    for name, (code, comment, docstring, lines) in rows.items():
+        text = (package / f"{name}.py").read_text()
+        assert code + comment + docstring == lines, name
+        assert lines == sum(1 for line in text.splitlines() if line.strip())
+    assert total == [sum(column) for column in zip(*rows.values())]

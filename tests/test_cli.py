@@ -36,12 +36,23 @@ def test_factor(capsys):
                      "provenance": "formula"}]
 
 
-def test_key_order_is_fixed(capsys):
-    status, _ = run_lines(capsys, ["factor", "-n", "6"])
-    # re-read raw line to check serialization order
-    cli.run(["factor", "-n", "6"])
-    line = capsys.readouterr().out.splitlines()[-1]
-    assert list(json.loads(line)) == ["command", "inputs", "result", "provenance"]
+# The keys of each one-record command's inputs, in order.
+INPUTS = {"factor -n 6": ["n"],
+          "check -n 6 -f 3x^2+x+5": ["n", "polynomial"],
+          "disc -n 11 -f x^3+2x^2+3x+4": ["n", "polynomial"],
+          "trace-form -n 7 -f x^2+3x+5": ["n", "polynomial"],
+          "count -n 6 -d 2": ["n", "d", "mode"],
+          "proportion -n 6": ["n", "d"],
+          "enumerate -n 6 -d 2": ["n", "d", "mode", "crt"]}
+
+
+@pytest.mark.parametrize("command", INPUTS)
+def test_key_order_is_fixed(capsys, command):
+    # Read the raw line: json.loads keeps the order of the keys it reads.
+    assert cli.run(command.split()) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert list(record) == ["command", "inputs", "result", "provenance"]
+    assert list(record["inputs"]) == INPUTS[command]
 
 
 def test_check_paper_example(capsys):
@@ -209,6 +220,61 @@ def test_usage_errors_exit_1(capsys):
     assert cli.run(["no-such-command"]) == 1
     assert cli.run(["check", "-n", "6", "--bogus", "x"]) == 1
     assert cli.run(["check", "-n", "6", "-f", "x^^2"]) == 1  # parse error
+
+
+@pytest.mark.parametrize("command, usage", [
+    # A sub-command's own error: that sub-command's usage.
+    ("count -n 6",
+     "usage: sepzn count [-h] [--mode {monic,leq,exact}] -n N -d D"),
+    ("enumerate -n 6 -d 2 --workers x",
+     "usage: sepzn enumerate [-h] [--mode {monic,leq,exact}] -n N -d D"),
+    # An unknown sub-command or argument: the top-level usage.
+    ("no-such-command", "usage: sepzn [-h]"),
+    ("check -n 6 -f x --bogus y", "usage: sepzn [-h]"),
+])
+def test_usage_error_shows_the_failing_parser(capsys, command, usage):
+    assert cli.run(command.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, first, *_ = captured.err.splitlines()
+    assert message.startswith("usage error: ")
+    assert first == usage
+
+
+N = (["-n"], "n", int, None, True, None)
+D = (["-d"], "d", int, None, True, None)
+MODE = (["--mode"], "mode", None, "leq", False, ["monic", "leq", "exact"])
+DECIMAL = (["--decimal"], "decimal", int, None, False, None)
+BUDGET = (["--budget"], "budget", int, 10**8, False, None)
+WORKERS = (["--workers"], "workers", int, 1, False, None)
+D_MAX = (["--d-max"], "d_max", int, None, True, None)
+POLY = (["-f"], "poly", None, None, True, None)
+OPTIONS = {
+    "factor": [N],
+    "check": [N, POLY],
+    "disc": [N, POLY],
+    "trace-form": [N, POLY],
+    "count": [MODE, N, D, DECIMAL],
+    "proportion": [N, (["-d"], "d", int, 2, False, None), DECIMAL],
+    "enumerate": [MODE, N, D, BUDGET, WORKERS,
+                  (["--crt"], "crt", None, False, False, None)],
+    "verify": [N, D_MAX, BUDGET, WORKERS],
+    "table": [(["--n-min"], "n_min", int, None, True, None),
+              (["--n-max"], "n_max", int, None, True, None),
+              (["--d-min"], "d_min", int, None, True, None), D_MAX, MODE,
+              (["--format"], "format", None, "csv", False, ["csv", "jsonl"])],
+}
+
+
+@pytest.mark.parametrize("name", OPTIONS)
+def test_options_are_pinned(name):
+    # (strings, dest, type, default, required, choices) of every option of
+    # the sub-command, in order, but -h.
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == list(OPTIONS)
+    assert [(a.option_strings, a.dest, a.type, a.default, a.required,
+             a.choices) for a in sub.choices[name]._actions
+            if a.dest != "help"] == OPTIONS[name]
 
 
 def test_usage_error_leaves_parser_reusable(capsys):
