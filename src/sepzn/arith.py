@@ -7,7 +7,7 @@ arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import index
 
 
@@ -15,8 +15,8 @@ class DomainError(ValueError):
     """Raised when an input lies outside an operation's domain."""
 
 
-# Trial division takes out every prime below _TRIAL_BOUND, so a cofactor
-# m > 1 below _TRIAL_BOUND**2 has no room for two prime factors: it is prime.
+# Trial division by the primes below _TRIAL_BOUND takes them all out, so a
+# cofactor m > 1 below _TRIAL_BOUND**2 has no room for two primes: it is prime.
 _TRIAL_BOUND = 1000
 # Miller-Rabin with the prime bases up to 41 has no strong pseudoprime below
 # _MR_EXACT_BELOW (Sorenson and Webster 2015), so below it the test is a
@@ -35,6 +35,18 @@ _RHO_BATCH = 128  # differences multiplied together per gcd
 # Distinct n whose factorizations are kept; `table` over a wide range of n
 # must not keep one per n.
 _CACHE_SIZE = 4096
+
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    sieve = [0, 0, *range(2, bound)]  # each composite is set to 0
+    for p in range(2, isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [0] * len(range(p * p, bound, p))
+    return tuple(filter(None, sieve))
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
 
 
 def _is_certified_prime(m: int, n: int) -> bool:
@@ -101,8 +113,8 @@ def _rho_divisor(m: int, n: int) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 2.
 
-    Trial division by 2 and the odd numbers below _TRIAL_BOUND, then each
-    cofactor is certified prime (below _TRIAL_BOUND**2, or by deterministic
+    Trial division by the primes below _TRIAL_BOUND, then each cofactor
+    left is certified prime (below _TRIAL_BOUND**2, or by deterministic
     Miller-Rabin below _MR_EXACT_BELOW) or split by Pollard-Brent rho.
     Raises DomainError for a probable-prime cofactor it cannot certify and
     for a composite cofactor that rho does not split within _RHO_STEP_CAP
@@ -136,18 +148,20 @@ def _factors(n: int) -> tuple[tuple[int, int], ...]:
         raise DomainError(f"cannot factor {n}: need an integer >= 2")
     exponents: dict[int, int] = {}
     m = n
-    p = 2
-    while p < _TRIAL_BOUND and p * p <= m:
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
         if m % p == 0:
             k = 0
             while m % p == 0:
                 m //= p
                 k += 1
             exponents[p] = k
-        p += 1 if p == 2 else 2
+    if m < _TRIAL_BOUND * _TRIAL_BOUND:  # 1, or a prime above every p taken
+        return tuple(exponents.items()) + (((m, 1),) if m > 1 else ())
     # The smallest cofactor first, and each certified prime divided out of
     # every cofactor left: a prime power p^k takes a few splits, not k.
-    cofactors = [m] if m > 1 else []
+    cofactors = [m]
     while cofactors:
         m = min(cofactors)
         cofactors.remove(m)

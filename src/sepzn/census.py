@@ -46,16 +46,17 @@ def _counts(factors, ds: range, mode: Mode) -> list[int]:
         leq = _counts(factors, range(max(ds.start - 1, 0), ds.stop), Mode.LEQ)
         steps = [b - a for a, b in zip(leq, leq[1:])]
         return (leq[:1] if ds.start == 0 else []) + steps
-    columns = []  # one per prime power, one term per degree
-    for p, k in factors:
-        if mode == "monic":  # 1, p^k, then phi(p^(kd)) from d = 2
-            columns.append([q if d < 2 else q - q // p
-                            for d in ds for q in [p ** (k * d)]])
-        else:  # phi(p^k) p^((k-1)d) (p^d + 1), and phi(p^k) at d = 0
-            phi = totient_prime_power(p, k)
-            columns.append([phi * p ** ((k - 1) * d) * (p**d + 1) if d else phi
-                            for d in ds])
-    return list(map(prod, zip(*columns)))
+    result = [1] * len(ds)
+    for p, k in factors:  # each p^k's term of every degree, multiplied in
+        pk, low = p**k, p ** (k - 1)  # phi(p^k) = pk - low
+        q, r = pk**ds.start, low**ds.start  # p^(kd) and p^((k-1)d) at each d
+        for i, d in enumerate(ds):
+            if mode == "monic":  # 1, p^k, then phi(p^(kd)) from d = 2
+                result[i] *= q if d < 2 else q - q // p
+            else:  # phi(p^k) p^((k-1)d) (p^d + 1), and phi(p^k) at d = 0
+                result[i] *= (pk - low) * (q + r) if d else pk - low
+            q, r = q * pk, r * low
+    return result
 
 
 def count_monic_separable(m: Modulus, d: int) -> int:

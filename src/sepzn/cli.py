@@ -132,24 +132,25 @@ def _cmd_table(args) -> int:
             census.window(args.n_max, d, mode)
         for n in (args.n_min, args.n_max):
             factorize(n)
-    # One template per command, filled with n, d, mode, count and count/size
-    # in lowest terms: the row csv.writer (excel dialect) writes for these
-    # quote-free fields, or the line _emit writes for the row's record.
+    # One template per command for all of one n's rows, each filled with n,
+    # d, mode, count and count/size in lowest terms: the rows csv.writer (excel
+    # dialect) writes for these quote-free fields, or the lines _emit writes.
     write, name = sys.stdout.write, mode.value
     if args.format == "csv":
         write("n,d,mode,count,proportion\r\n")
-        row = "%d,%d,%s,%d,%d/%d\r\n"
+        rows = "%d,%d,%s,%d,%d/%d\r\n" * len(ds)
     else:
-        row = ('{"command": "table", "inputs": {"n": %d, "d": %d, '
-               '"mode": "%s"}, "result": {"type": "count", "value": %d, '
-               '"proportion": "%d/%d"}, "provenance": "formula"}\n')
+        rows = ('{"command": "table", "inputs": {"n": %d, "d": %d, '
+                '"mode": "%s"}, "result": {"type": "count", "value": %d, '
+                '"proportion": "%d/%d"}, "provenance": "formula"}\n') * len(ds)
     for n in ns if ds else ():  # one count of every degree per n
         start, stop = census.window(n, args.d_min, mode)
-        size = stop - start  # n times larger at the next d, in every mode
+        size, fields = stop - start, []  # n times larger at each next d
         for d, count in zip(ds, census.counts(Modulus(n), ds, mode)):
             g = math.gcd(count, size)
-            write(row % (n, d, name, count, count // g, size // g))
+            fields += n, d, name, count, count // g, size // g
             size *= n
+        write(rows % tuple(fields))
     return 0
 
 

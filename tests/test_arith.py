@@ -175,6 +175,36 @@ class TestFactorize:
         assert factorize(n) == factors
         assert len(calls) <= 4
 
+    @pytest.mark.parametrize("n, certified, split", [
+        # Every prime factor is below the trial bound.
+        (991 * 997, [], []),
+        (997**2, [], []),
+        (997**3, [], []),
+        # The cofactor left is a prime below 10^6: returned at once.
+        (997 * 1009, [], []),
+        (2 * 999983, [], []),
+        # The cofactor left is a composite at or above 10^6: rho splits it.
+        (1009**2, [1009**2, 1009], [1009**2]),
+        (1009 * 1013, [1009 * 1013, 1009, 1013], [1009 * 1013]),
+        # The cofactor left is a prime above 10^6: Miller-Rabin certifies it.
+        (7 * (10**6 + 3), [10**6 + 3], []),
+    ])
+    def test_trial_division_edge(self, monkeypatch, n, certified, split):
+        # The cofactors tested for primality, and those split by rho.
+        tested, splits = [], []
+        is_prime, divisor = arith._is_certified_prime, arith._rho_divisor
+        monkeypatch.setattr(arith, "_is_certified_prime",
+                            lambda m, n: tested.append(m) or is_prime(m, n))
+        monkeypatch.setattr(arith, "_rho_divisor",
+                            lambda m, n: splits.append(m) or divisor(m, n))
+        factorize.cache_clear()
+        assert factorize(n) == trial_division(n)
+        assert (tested, splits) == (certified, split)
+        factorize.cache_clear()
+
+    def test_trial_primes(self):
+        assert arith._TRIAL_PRIMES == tuple(primes_below(arith._TRIAL_BOUND))
+
     def test_cache_is_bounded(self):
         assert factorize.cache_info().maxsize is not None
 

@@ -142,6 +142,19 @@ def test_enumerate_budget_exceeded(capsys):
                     "--budget", "1000"]) == 2
 
 
+def test_enumerate_crt_budget_is_exact(capsys):
+    # Monic degree 2 over Z/2 and Z/3 walks the windows [4, 8) and [9, 18):
+    # 4 + 9 = 13 tests, where the sum of the windows' ends would be 39.
+    argv = ["enumerate", "--crt", "--mode", "monic", "-n", "6", "-d", "2"]
+    status, recs = run_lines(capsys, argv + ["--budget", "13"])
+    assert status == 0 and recs[0]["result"]["value"] == 12
+    assert cli.run(argv + ["--budget", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("domain error: enumeration needs 13 tests, "
+                            "budget is 12\n")
+
+
 def test_enumerate_refuses_tables_beyond_memory(capsys, monkeypatch):
     # 1048578 = 2 * 3 * 174763: degree <= 1 needs a table of 174763^2 bytes,
     # above oracle.MAX_TABLE_BYTES however far the budget is raised.  The
@@ -514,6 +527,14 @@ def test_check_bound(capsys, n, primes, most):
                             f"degree {most + 1}\n")
 
 
+def test_check_bound_is_inclusive(capsys):
+    # 210 has 4 distinct primes and 1024^2 * 4 = 2^22 = MAX_GCD_WORK exactly,
+    # so degree 1024, the most the parser takes, is answered.
+    status, recs = run_lines(capsys, ["check", "-n", "210",
+                                      "-f", "x^1024+x+1"])
+    assert status == 0 and recs[0]["result"]["type"] == "bool"
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "-n", "6", "-d", "6000"],
     ["enumerate", "-n", "6", "-d", "6000"],
@@ -545,6 +566,19 @@ def test_largest_printable_set(capsys):
     assert status == 0
     assert recs[0]["result"]["total"] == 2**14284
     assert cli.run(["count", "--mode", "monic", "-n", "2", "-d", "14285"]) == 2
+
+
+def test_largest_printable_set_of_a_composite(capsys):
+    # The monic set modulo 10 at d = 4300 holds exactly 10^4300 tuples, a
+    # size of 4301 digits: refused with one line.  At d = 4299 it is printed.
+    status, recs = run_lines(capsys, ["count", "--mode", "monic", "-n", "10",
+                                      "-d", "4299"])
+    assert status == 0 and recs[0]["result"]["total"] == 10**4299
+    assert cli.run(["count", "--mode", "monic", "-n", "10", "-d", "4300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("domain error: the monic set at d = 4300 has a "
+                            "size of more than 4300 digits\n")
 
 
 def test_table_streams_rows(monkeypatch):
