@@ -210,4 +210,6 @@ def totient(m: Modulus) -> int:
 def totient_prime_power(p: int, k: int) -> int:
     """phi(p^k) = p^k - p^(k-1) for k >= 1; phi(1) = 1 for k = 0."""
     p, k = index(p), index(k)
+    if k < 0:
+        raise DomainError(f"phi(p^k) needs k >= 0, got {k}")
     return p**k - p ** (k - 1) if k else 1

@@ -37,6 +37,11 @@ def _require_degree(d: int):
         raise DomainError(f"degree must be >= 0, got {d}")
 
 
+def _require_exponent(k: int):
+    if k < 1:
+        raise DomainError(f"the prime power p^k needs k >= 1, got {k}")
+
+
 def _counts(factors, ds: range, mode: Mode) -> list[int]:
     """The count of one mode at each degree of ds (a range of step 1) over
     the product of the prime powers p^k in factors, one p^k at a time: the
@@ -78,6 +83,7 @@ def count_separable_leq_primepower(p: int, k: int, d: int) -> int:
     """Separable polynomials of degree <= d over Z/p^k (arbitrary leading
     coefficient): phi(p^k) * p^((k-1)d) * (p^d + 1); phi(p^k) at d = 0."""
     p, k, d = index(p), index(k), index(d)
+    _require_exponent(k)
     return _counts([(p, k)], range(d, d + 1), Mode.LEQ)[0]
 
 
@@ -131,6 +137,7 @@ def count_leq_recurrence(p: int, k: int, d: int) -> int:
     a_d = phi(p^(kd)) * phi(p^k) + p^(k-1) * a_(d-1),
     seeded with a_1 = phi(p^k) * (p^k + p^(k-1))."""
     p, k, d = index(p), index(k), index(d)
+    _require_exponent(k)
     if d < 1:
         raise DomainError(f"the recurrence starts at d = 1, got {d}")
     phi = totient_prime_power(p, k)
@@ -144,6 +151,7 @@ def geometric_sum(p: int, k: int, d: int) -> int:
     """Closed form p^((k-1)d+1) * (p^(d-1) - 1) of the sum
     phi(b^d) + l*phi(b^(d-1)) + ... + l^(d-2)*phi(b^2), b = p^k, l = p^(k-1)."""
     p, k, d = index(p), index(k), index(d)
+    _require_exponent(k)
     if d < 2:
         raise DomainError(f"the sum is defined for d >= 2, got {d}")
     return p ** ((k - 1) * d + 1) * (p ** (d - 1) - 1)

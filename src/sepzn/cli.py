@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         """Sub-command name with its options in order: names of shared ones
         or (name, spec) pairs of its own."""
         p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(command=name, func=func, **defaults)
         for option in options:
             flag, spec = ((option, shared[option]) if isinstance(option, str)
                           else option)
@@ -212,13 +212,26 @@ def build_parser() -> argparse.ArgumentParser:
          ("--format", dict(choices=["csv", "jsonl"], default="csv"))],
         _cmd_table)
 
+    parser.commands = sub.choices  # name -> sub-parser
     return parser
 
 
-def run(argv: list[str]) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """parse_args(argv), with a known sub-command read by its own parser
+    alone; what it leaves is refused by the top-level parser, as parse_args
+    refuses it."""
     parser = build_parser()
+    if not argv or argv[0] not in parser.commands:
+        return parser.parse_args(argv)  # no argv, -h or an unknown command
+    args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def run(argv: list[str]) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except _UsageError as e:
         failed, message = e.args
         print(f"usage error: {message}", file=sys.stderr)

@@ -4,8 +4,10 @@ Two routes are provided and cross-checked against each other:
 
 * the trace-form discriminant for monic polynomials (the determinant over
   Z/n of the matrix of traces of the multiplication operators x^(i+j) on
-  Z/n[x]/f, by elimination over rows packed one to an int, one big-int
-  multiply-add per row per pivot; separable iff it is a unit), and
+  Z/n[x]/f, by elimination over rows packed one to an int: each row after
+  the first packs as the row above shifted down one slot, each pivot row is
+  reduced by one Barrett step over the whole int, and each row below takes
+  one big-int multiply-add per pivot; separable iff it is a unit), and
 * the general pipeline for arbitrary polynomials: split Z/n into its
   prime-power components, reduce each component mod p, and check that the
   reduction is coprime to its derivative over the field Z/p.
@@ -14,6 +16,7 @@ Two routes are provided and cross-checked against each other:
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .arith import DomainError
 from .poly import PolyZn
@@ -55,7 +58,8 @@ def trace_form(f: PolyZn) -> tuple[tuple[int, ...], ...]:
     c = f.coeffs[::-1]  # c[i] is the coefficient of x^(N-i)
     s = [big_n % n]
     for k in range(1, 2 * big_n - 1):
-        total = sum(c[i] * s[k - i] for i in range(1, min(k, big_n + 1)))
+        top = min(k, big_n + 1)  # the sum of c_i s_(k-i) for 0 < i < top
+        total = sum(map(mul, c[1:top], s[k - 1:k - top:-1]))
         if k <= big_n:
             total += k * c[k]
         s.append(-total % n)
@@ -66,7 +70,10 @@ def _det_mod(matrix, n: int) -> int:
     """Determinant of an N x N matrix over Z/n, in [0, n), by elimination
     over packed rows: a row is one int whose W-bit slot j holds column j,
     with W the bit length of N n^2 + n rounded up to whole bytes, so that a
-    row packs and unpacks through bytes in time linear in its length.
+    row packs and unpacks through bytes in time linear in its length. A row
+    equal to the row above moved one column left, as every row of a trace
+    form after the first is, packs as the packed row above shifted down one
+    slot with its last entry ORed in.
 
     Each step swaps a pivot x of least gcd(x, n) into the top row, reduces
     that row into [0, n), and gives each row below one multiply-add, row +
@@ -74,6 +81,14 @@ def _det_mod(matrix, n: int) -> int:
     slot is then dropped (>> W). Only the next first slot is read and
     reduced. A slot starts below n and each step adds less than n^2, so it
     stays below N n^2 + n < 2^W: no carry crosses into the next slot.
+
+    The top row is reduced by one Barrett step over the whole int: its even
+    and its odd slots are split apart, each slot x < 2^W alone in a 2W-bit
+    field. With mu = floor(2^W / n), q = floor(x mu / 2^W) lies in
+    [floor(x / n) - 1, x / n]: x mu < 2^(2W) stays in its field, and r = x -
+    q n lies in [0, 2n), so no borrow crosses a field either. Bit W of r +
+    2^W - n < 2^(W+1) is set iff r >= n, and subtracting that bit times n
+    leaves x mod n. The two halves are then ORed back together.
 
     Such a c exists when k = gcd(x, n) divides every entry b below x, as
     it does when x is a unit or n a prime power. Otherwise n is split at
@@ -88,8 +103,20 @@ def _det_mod(matrix, n: int) -> int:
     wb = ((len(matrix) * n * n + n).bit_length() + 7) // 8
     w = 8 * wb
     mask = (1 << w) - 1
-    rows = [int.from_bytes(b"".join((x % n).to_bytes(wb, "little")
-                                    for x in row), "little") for row in matrix]
+    rows = []
+    for i, row in enumerate(matrix):
+        if i and row[:-1] == matrix[i - 1][1:]:
+            rows.append(rows[-1] >> w | row[-1] % n << w * (len(row) - 1))
+        else:
+            rows.append(int.from_bytes(b"".join(
+                (x % n).to_bytes(wb, "little") for x in row), "little"))
+    # Barrett's constants: 1, the mask and 2^W - n in the low half of each of
+    # the 2W-bit fields that hold a row's even (or odd) slots, and mu.
+    half = (len(rows) + 1) // 2
+    ones, low, lift = (int.from_bytes((x.to_bytes(wb, "little") + bytes(wb))
+                                      * half, "little")
+                       for x in (1, mask, (1 << w) - n))
+    mu = (1 << w) // n
     det = 1
     while rows and det:
         if (size := len(rows)) == 1:
@@ -105,7 +132,12 @@ def _det_mod(matrix, n: int) -> int:
                          for j in range(0, len(r), wb)] for r in raw]
                 du, dv = _det_mod(rest, u), _det_mod(rest, v)
                 return det * (du + u * ((dv - du) * pow(u, -1, v) % v)) % n
-        top = sum((rows[0] >> w * j & mask) % n << w * j for j in range(size))
+        even, odd = rows[0] & low, rows[0] >> w & low
+        even -= (even * mu >> w & low) * n  # each field now below 2n
+        odd -= (odd * mu >> w & low) * n
+        even -= (even + lift >> w & ones) * n
+        odd -= (odd + lift >> w & ones) * n
+        top = even | odd << w
         m, x = n // k, top & mask
         inv, det = -pow(x // k, -1, m) % m, det * x % n
         rows = [r + (r & mask) % n // k * inv % m * top >> w for r in rows[1:]]
@@ -115,7 +147,7 @@ def _det_mod(matrix, n: int) -> int:
 # disc's bound: a degree N trace form modulo a b-bit n costs about N^2 / 2
 # multiply-adds on rows of N slots, each dearer as b grows; N^3 (b + 32 +
 # b^2 // 768) must stay within MAX_DET_WORK, left as it was. On a 2-vCPU host
-# the slowest inputs found at the bound answer in about 1.5 s as a process:
+# the slowest inputs found at the bound answer in 1.4-1.7 s as a process:
 # n of 95-125 primes, split off one or two at a time.
 MAX_DET_WORK = 1_500_000_000
 

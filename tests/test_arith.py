@@ -248,6 +248,12 @@ class TestTotient:
         # exposed for exponent arithmetic: phi(p^0) = 1
         assert totient_prime_power(5, 0) == 1
 
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_prime_power_refuses_negative_k(self, k):
+        # (2, -1) gave 0.25.
+        with pytest.raises(DomainError, match=f"k >= 0, got {k}"):
+            totient_prime_power(2, k)
+
     @pytest.mark.parametrize("bad", [5.0, Fraction(5), "5"])
     @pytest.mark.parametrize("at", [0, 1])
     def test_prime_power_refuses_what_is_not_an_integer(self, bad, at):

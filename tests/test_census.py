@@ -122,6 +122,12 @@ class TestLeqPrimePower:
             assert count_separable_leq_primepower(p, k, 0) == \
                 totient_prime_power(p, k)
 
+    @pytest.mark.parametrize("k, d", [(0, 1), (-1, 2), (0, 0)])
+    def test_refuses_k_below_one(self, k, d):
+        # (2, 0, 1) gave 0.75, (2, -1, 2) 0.078125 and (2, 0, 0) 0.5.
+        with pytest.raises(DomainError, match=f"k >= 1, got {k}"):
+            count_separable_leq_primepower(2, k, d)
+
     @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_refuses_what_is_not_an_integer(self, bad, at):
@@ -269,6 +275,12 @@ class TestRecurrence:
         with pytest.raises(DomainError):
             count_leq_recurrence(2, 1, 0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_refuses_k_below_one(self, k):
+        # (2, 0, 3) gave 1.875.
+        with pytest.raises(DomainError, match=f"k >= 1, got {k}"):
+            count_leq_recurrence(2, k, 3)
+
     @pytest.mark.parametrize("bad", [3.5, Fraction(7, 2), "3"])
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_refuses_what_is_not_an_integer(self, bad, at):
@@ -306,6 +318,12 @@ class TestGeometricSum:
     def test_rejects_low_degree(self):
         with pytest.raises(DomainError):
             geometric_sum(2, 1, 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_refuses_k_below_one(self, k):
+        # (2, 0, 3) gave 0.75.
+        with pytest.raises(DomainError, match=f"k >= 1, got {k}"):
+            geometric_sum(2, k, 3)
 
     @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), "2"])
     @pytest.mark.parametrize("at", [0, 1, 2])

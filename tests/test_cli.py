@@ -254,6 +254,61 @@ def test_usage_error_shows_the_failing_parser(capsys, command, usage):
     assert first == usage
 
 
+# One argv per sub-command, then argvs at the edges of argparse's grammar.
+PARSE_CORPUS = [
+    "factor -n 60",
+    "check -n 6 -f x^2+1",
+    "disc -n 1009 -f x^3+2x+1",
+    "trace-form -n 7 -f 1,0,1",
+    "count --mode exact -n 15 -d 2 --decimal 3",
+    "proportion -n 35",
+    "enumerate -n 6 -d 2 --crt --budget 100",
+    "verify -n 6 --d-max 2 --workers 1",
+    "table --n-min 2 --n-max 5 --d-min 0 --d-max 2 --format jsonl",
+    "",
+    "-h",
+    "disc -h",
+    "-- disc -n 5 -f x",
+    "disc -n 5 -- -f x",
+    "count --mode=monic -n 6 -d 2",
+    "disc -n5 -fx",
+    "check -n 6 -fx^2+1",
+    "count --mo monic -n 6 -d 2",
+    "table --n-min 2 --n-max 3 --d-min 0 --d-max 1 --form jsonl",
+    "enumerate -n 6 -d 1 --work 1",
+    "count -n 6 -n 10 -d 2 -d 3",
+    "table --n-min 2 --n-max 3 --d 1",
+    "factor -n 6 --bogus",
+    "check -n 6 -f x extra",
+    "no-such-command -n 6",
+    "-n 6 factor",
+    "count -n 6",
+    "enumerate -n 6 -d 2 --workers x",
+]
+
+
+@pytest.mark.parametrize("command", PARSE_CORPUS)
+def test_one_parse_reads_as_parse_args(capsys, monkeypatch, command):
+    # A known sub-command is read by its own parser alone: the namespace,
+    # or the exit status, stdout and first two stderr lines of a failure,
+    # are those of the top-level parser's parse_args.
+    argv, parser = command.split(), cli.build_parser()
+    try:
+        expected = vars(parser.parse_args(argv))
+    except (cli._UsageError, SystemExit):
+        expected = None
+    capsys.readouterr()
+    if expected is not None:
+        assert vars(cli._parse(argv)) == expected
+        return
+    status, got = cli.run(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse", parser.parse_args)
+    assert cli.run(argv) == status
+    want = capsys.readouterr()
+    assert got.out == want.out
+    assert got.err.splitlines()[:2] == want.err.splitlines()[:2]
+
+
 N = (["-n"], "n", int, None, True, None)
 D = (["-d"], "d", int, None, True, None)
 MODE = (["--mode"], "mode", None, "leq", False, ["monic", "leq", "exact"])

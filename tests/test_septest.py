@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,16 @@ class TestTraceForm:
         f = PolyZn(Modulus(n), low + [1])
         assert trace_form(f) == companion_trace_form(low + [1], n)
 
+    @pytest.mark.parametrize("degree", range(1, 25))
+    def test_newton_sums_match_companion_matrix_powers(self, degree):
+        # Every power sum up to s_(2N-2), at each degree to 24, over a prime,
+        # a prime power, a composite and a modulus wider than a machine word.
+        n = (2, 1009, 2**20, 1001, 10**12, MERSENNE_61 * 3)[degree % 6]
+        rng = random.Random(degree)
+        coeffs = [rng.randrange(n) for _ in range(degree)] + [1]
+        f = PolyZn(Modulus(n), coeffs)
+        assert trace_form(f) == companion_trace_form(coeffs, n)
+
 
 # Moduli for the determinant property, each with its prime factors.
 DET_MODULI = {
@@ -204,6 +215,23 @@ def integer_det(matrix):
                 for j in range(c + 1, size)]
         previous = a[c][c]
     return sign * a[-1][-1]
+
+
+def lu_matrix(rng, n, size):
+    """L U mod n, with U unit upper triangular with a draw near n - 1 above
+    its diagonal and L unit lower triangular with its negation below: the
+    elimination's multipliers and pivot rows are then near n - 1, and each
+    step grows a packed slot by nearly (n - 1)^2, the most it can."""
+    big = [rng.randint(max(0, n - 3), n - 1) for _ in range(size * size)]
+
+    def lower(i, k):
+        return -big[i * size + k] if k < i else int(k == i)
+
+    def upper(k, j):
+        return big[k * size + j] if j > k else int(j == k)
+
+    return [[sum(lower(i, k) * upper(k, j) for k in range(size)) % n
+             for j in range(size)] for i in range(size)]
 
 
 def trinomial_disc(degree, b, c):
@@ -241,8 +269,9 @@ class TestDiscriminant:
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(DET_MODULI)), st.integers(1, 16),
-           st.booleans(), st.integers(0, 2**64 - 1))
-    def test_det_mod_matches_integer_determinant(self, n, size, lu, seed):
+           st.sampled_from(["dense", "hankel", "lu"]),
+           st.integers(0, 2**64 - 1))
+    def test_det_mod_matches_integer_determinant(self, n, size, kind, seed):
         # Entries near 0, p, p^2 and n - 1 leave columns without a unit,
         # where a pivot of least gcd with n may not divide an entry below
         # it, and the elimination splits n. Each matrix is drawn as one
@@ -251,28 +280,65 @@ class TestDiscriminant:
         rng = random.Random(seed)
         near = sorted({e % n for p in DET_MODULI[n]
                        for e in (0, 1, p, p * p, n - 1, n - p)})
-        if not lu:
+        if kind == "dense":
             matrix = [[rng.choice(near) if rng.getrandbits(1)
                        else rng.randrange(n) for _ in range(size)]
                       for _ in range(size)]
+        elif kind == "hankel":
+            # Rows s[i:i + N] of one sequence, as a trace form's are: each
+            # row after the first packs from the packed row above.
+            s = [rng.choice(near) if rng.getrandbits(1) else rng.randrange(n)
+                 for _ in range(2 * size - 1)]
+            matrix = [s[i:i + size] for i in range(size)]
         else:
-            # L U, with U unit upper triangular with a draw near n - 1 above
-            # its diagonal and L unit lower triangular with its negation
-            # below: the elimination's multipliers and pivot rows are then
-            # near n - 1, and each step grows a packed slot by nearly
-            # (n - 1)^2, the most it can.
-            big = [rng.randint(max(0, n - 3), n - 1)
-                   for _ in range(size * size)]
-
-            def lower(i, k):
-                return -big[i * size + k] if k < i else int(k == i)
-
-            def upper(k, j):
-                return big[k * size + j] if j > k else int(j == k)
-
-            matrix = [[sum(lower(i, k) * upper(k, j) for k in range(size)) % n
-                       for j in range(size)] for i in range(size)]
+            matrix = lu_matrix(rng, n, size)
         assert _det_mod(matrix, n) == integer_det(matrix) % n
+
+    @pytest.mark.parametrize("n", [2, 3, 2**61 * 1009])
+    def test_trace_form_determinant_matches_integer_determinant(self, n):
+        # Modulo 2 and 3 the slots are narrowest, one byte below degree 64
+        # and 29, so a slot and the Barrett field around it leave the least
+        # room above n. Modulo 2^61 1009 a column may hold no unit and n
+        # splits. Every row after the first packs from the row above.
+        rng = random.Random(n)
+        m = Modulus(n)
+        for degree in (1, 2, 3, 4, 5, 8, 13, 21, 32):
+            for _ in range(3):
+                f = PolyZn(m, [rng.randrange(n) for _ in range(degree)] + [1])
+                assert discriminant(f) == integer_det(trace_form(f)) % n
+
+    @pytest.mark.parametrize("n", [3, 1001, 2**61 * 1009])
+    def test_det_mod_reduces_every_pivot_row(self, n):
+        # After its Barrett step each slot of the top row lies in [0, n),
+        # which the no-carry bound needs though byte-rounded slots hide a
+        # missed reduction from the determinant. Modulo 3 (8-bit slots, mu =
+        # 85) every nonzero multiple of 3 needs the conditional subtraction;
+        # an L U draw grows slots near 2^W, where q falls short of x / n by
+        # most. The top rows are read from each _det_mod frame, the split's
+        # too.
+        seen = []
+
+        def trace(frame, event, arg):
+            if frame.f_code is not _det_mod.__code__:
+                return None
+            if event == "line" and "top" in frame.f_locals:
+                seen.append(tuple(map(frame.f_locals.get, ("top", "w", "n"))))
+            return trace
+
+        rng = random.Random(n)
+        f = PolyZn(Modulus(n), [rng.randrange(n) for _ in range(16)] + [1])
+        lu = lu_matrix(rng, n, 16)
+        before = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            dets = [_det_mod(trace_form(f), n), _det_mod(lu, n)]
+        finally:
+            sys.settrace(before)
+        assert dets == [integer_det(m) % n for m in (trace_form(f), lu)]
+        assert len(seen) > 16
+        for top, w, modulus in seen:
+            assert all(top >> j & (1 << w) - 1 < modulus
+                       for j in range(0, top.bit_length(), w))
 
     @pytest.mark.parametrize("matrix, n, det", [
         ([[2, 3], [3, 2]], 6, 1),
