@@ -6,7 +6,7 @@ arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import index
 
@@ -179,6 +179,18 @@ def _factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(exponents.items()))
 
 
+class _Factors:
+    """Modulus.factors: factorize(n) on the first read, kept as a plain
+    attribute of the instance, which this non-data descriptor then no longer
+    sees.  functools.cached_property takes a lock on each first read."""
+
+    def __get__(self, modulus, owner=None):
+        if modulus is None:
+            return self
+        modulus.factors = factors = factorize(modulus.n)
+        return factors
+
+
 class Modulus:
     """The ring Z/n for n >= 2; `factors` is factorize(n), on first read.
 
@@ -191,9 +203,7 @@ class Modulus:
             raise DomainError(f"modulus must satisfy |n| >= 2, got {n}")
         self.n = n
 
-    @cached_property
-    def factors(self) -> tuple[tuple[int, int], ...]:
-        return factorize(self.n)
+    factors = _Factors()
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.n == other.n

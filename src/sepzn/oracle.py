@@ -93,6 +93,13 @@ def _sieve(p: int, d: int, lo: int, hi: int) -> bytearray:
         j_max = sum((last - 1) // p**j > first // p**j for j in range(d)) - 1
         digits = [first // p**j % p for j in range(d) if first >= p**j]
         top = max(j_max + 1, len(digits))
+        # The step to first + 1 + i wraps depth[i] digits, the p-adic
+        # valuation of that m: one byte per step, set for all g at once.
+        depth = bytearray(max(last - first - 1, 0))
+        for j in range(1, j_max + 1):
+            start = -(first + 1) % p**j
+            depth[start::p**j] = bytes([j]) * len(range(start, len(depth),
+                                                         p**j))
         # g in W-bit slots, squared once: a coefficient of g^2 sums at most
         # e products of low coefficients, twice one of them (times the lead)
         # and 1, so it is at most e(p - 1)^2 + 2(p - 1) + 1 < 2^W: no carry.
@@ -119,10 +126,7 @@ def _sieve(p: int, d: int, lo: int, hi: int) -> bytearray:
             t = first * block + sum(c * q for c, q in zip(rem, place)) - lo
             if 0 <= t < size:
                 table[t] = 0
-            for m in range(first + 1, last):  # step to m, mark it
-                q, j = m, 0
-                while q % p == 0:  # m_0 .. m_(j-1) wrapped to 0
-                    q, j = q // p, j + 1
+            for j in depth:  # step to the next m, mark it
                 t += block
                 for k, c, step, wrap in moves[j]:
                     v = rem[k] + c

@@ -8,9 +8,13 @@ Two routes are provided and cross-checked against each other:
   the first packs as the row above shifted down one slot, each pivot row is
   reduced by one Barrett step over the whole int, and each row below takes
   one big-int multiply-add per pivot; separable iff it is a unit), and
-* the general pipeline for arbitrary polynomials: split Z/n into its
-  prime-power components, reduce each component mod p, and check that the
-  reduction is coprime to its derivative over the field Z/p.
+* the gcd route for any f: one Euclid of f' and f over Z/m, m being n with
+  each prime below 1000 cut to its first power, on rows packed one to an
+  int with one Barrett step per remainder. Where a leading coefficient is a
+  zero divisor, m is split at it (dynamic evaluation), with no factoring;
+  separable iff every branch ends in a unit constant. Where m is too wide
+  for f's degree, n is factored and the same Euclid runs over the product
+  of its primes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .arith import DomainError
+from .arith import _TRIAL_PRIMES, DomainError
 from .poly import PolyZn
 
 
@@ -172,60 +176,116 @@ def is_separable_monic(f: PolyZn) -> bool:
     return math.gcd(discriminant(f), f.modulus.n) == 1
 
 
-def _separable_coeffs_mod_p(coeffs, p: int) -> bool:
-    """Core field test: f over Z/p is separable iff gcd(f, f') is a nonzero
-    constant: f itself when f is one, and 0 when f is 0."""
-    f = [c % p for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
-    fp = [(i * c) % p for i, c in enumerate(f)][1:]
-    while fp and fp[-1] == 0:
-        fp.pop()
-    return len(_gcd_lists(f, fp, p)) == 1
+def _split_euclid(coeffs, m: int) -> bool:
+    """Whether f = sum coeffs[i] x^i is separable modulo every prime of m:
+    one Euclid of f' and f over Z/m, with m split where it has to be
+    (dynamic evaluation), and no factorization of m.
+
+    A branch works over Z/u, u | m, on rows packed one to an int for a
+    modulus U, u | U: the leading coefficient in the lowest W-bit slot, W the
+    bit length of 2 S U^2 with S = len(coeffs) + 1, rounded up to whole
+    bytes. Each remainder step is one multiply-add, a + k b with k in [0,
+    u), that makes a's lowest slot a multiple of u; that slot is then
+    dropped (>> W). A slot starts below 2U and each of the at most S - 1
+    steps adds less than 2U^2, so it stays below 2 S U^2 <= 2^W: no carry
+    crosses into the next slot.
+
+    Each remainder is then reduced by one Barrett step over the whole int:
+    its even and its odd slots are split apart, each slot x < 2^W alone in a
+    2W-bit field. With mu = floor(2^W / u), q = floor(x mu / 2^W) lies in
+    [floor(x / u) - 1, x / u]: x mu < 2^(2W) stays in its field. The q of
+    both halves, joined back into W-bit slots, times u is subtracted at
+    once: q u <= x, so no borrow crosses a slot, and each slot is left in
+    [0, 2u).
+
+    A divisor's leading coefficient c must be a unit. Where it is not, u1 =
+    gcd(u, c^bits(u)) is the part of u at the primes of c. Over Z/u1, c is
+    nilpotent, so 0 modulo each of its primes, and its slot is dropped; over
+    Z/(u / u1) it is a unit. When u1 = u the slot is dropped. When 1 < u1 <
+    u the branch goes on over the larger part, on the same rows, and the
+    smaller part is set aside, its rows unpacked, to be packed again in
+    narrower slots. f is separable when every branch ends in a unit
+    constant."""
+    size = len(coeffs) + 1
+    todo = [(m, [i * c for i, c in enumerate(coeffs)][:0:-1], coeffs[::-1])]
+    while todo:
+        u, a, b = todo.pop()
+        wb = ((2 * size * u * u).bit_length() + 7) // 8
+        w = 8 * wb
+        mask = (1 << w) - 1
+        # The W-bit mask in the low half of each 2W-bit field, and mu.
+        low = int.from_bytes((mask.to_bytes(wb, "little") + bytes(wb))
+                             * (size // 2), "little")
+        mu = (1 << w) // u
+        la, lb = len(a), len(b)
+        a, b = (int.from_bytes(b"".join((x % u).to_bytes(wb, "little")
+                                        for x in row), "little")
+                for row in (a, b))
+        while lb:
+            c = (b & mask) % u
+            if math.gcd(c, u) == 1:
+                inv = -pow(c, -1, u) % u
+                for _ in range(la - lb + 1):
+                    a = a + (a & mask) * inv % u * b >> w
+                la = min(la, lb - 1)
+                q = (a & low) * mu >> w & low
+                a -= (q | ((a >> w & low) * mu >> w & low) << w) * u
+                a, b, la, lb = b, a, lb, la
+                continue
+            u1 = math.gcd(u, pow(c, u.bit_length(), u))
+            if u1 == u:
+                b >>= w
+                lb -= 1
+                continue
+            small, u = sorted((u1, u // u1))
+            mu = (1 << w) // u
+            todo.append((small, *([int.from_bytes(raw[j:j + wb], "little")
+                                   for j in range(0, len(raw), wb)]
+                                  for raw in (a.to_bytes(la * wb, "little"),
+                                              b.to_bytes(lb * wb, "little")))))
+        if la != 1 or math.gcd(a, u) != 1:
+            return False
+    return True
 
 
-def _rem_lists(a, b, p):
-    """Remainder of a modulo b over Z/p as a trimmed coefficient list; the
-    entries of a lie in [0, p) and b is trimmed, with a unit leading
-    coefficient."""
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    r = list(a)
-    for top in range(len(r) - 1, db - 1, -1):
-        c = r[top]
-        if c:
-            factor = c * inv % p
-            for j in range(db + 1):
-                r[top - db + j] = (r[top - db + j] - factor * b[j]) % p
-    del r[db:]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _gcd_lists(a, b, p):
-    """A gcd of a and b over the field Z/p: an associate of the monic gcd,
-    and [] for gcd(0, 0)."""
-    while b:
-        a, b = b, _rem_lists(a, b, p)
-    return a
-
-
-# check's bound: f of degree N costs one Euclid of about N^2 steps over Z/p
-# for each prime p | n, so N^2 times the number of distinct primes of n must
-# stay within MAX_GCD_WORK.  On a 2-vCPU host the slowest inputs found at the
-# bound answer in 2.2-2.8 s as a process, factoring n included.
+# check's bound on its direct route: a degree N Euclid over Z/m takes about
+# N^2 slot multiply-adds, on slots twice as wide as m, so each is dearer as
+# m's bit length b grows: N^2 (b + 32 + b^2 // 96) must stay within
+# MAX_EUCLID_WORK.  On a 2-vCPU host the slowest inputs found at the bound
+# answer in 0.9-1.9 s as a process, all with dense f: modulo 1009^77 (769
+# bits, degree 536) 1.1-1.9 s, modulo 1009^40 (400 bits, degree 976) and,
+# the slowest that splits, modulo the product of the 130 primes from 1009 up
+# (1365 bits, degree 310, split now and then by its leading coefficients)
+# 0.9-1.7 s.  A split goes on over its larger part and repacks the smaller
+# one in narrower rows, so it adds no width.
+MAX_EUCLID_WORK = 2_000_000_000
+# check's bound where m is too wide: n is factored, and the Euclid runs over
+# the product of its primes while N^2 times their number stays within
+# MAX_GCD_WORK.  Every n that can be factored keeps that degree, however
+# wide m is.
 MAX_GCD_WORK = 2**22
+# The primes below 1000 multiplied: gcd(n, _TRIAL_PRODUCT) is n's part there.
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def is_separable(f: PolyZn) -> bool:
-    """Separability of any f over Z/n: reduce mod every prime p | n and
-    require separability of every reduction over Z/p.  Raises DomainError
-    above the bound that MAX_GCD_WORK sets."""
-    factors = f.modulus.factors
-    if (f.degree or 0)**2 * len(factors) > MAX_GCD_WORK:
-        most = math.isqrt(MAX_GCD_WORK // len(factors))
-        raise DomainError(f"check takes degree <= {most} modulo an n with "
-                          f"{len(factors)} distinct primes, got degree "
-                          f"{f.degree}")
-    return all(_separable_coeffs_mod_p(f.coeffs, p) for p, _ in factors)
+    """Separability of any f over Z/n: f is separable modulo every prime
+    p | n.  The Euclid runs over m, n with each prime below 1000 cut to its
+    first power (found by one gcd, with no factoring); where m is too wide
+    for f's degree, over the product of n's primes.  Raises DomainError
+    above both bounds."""
+    n, big_n = f.modulus.n, f.degree or 0
+    g = math.gcd(n, _TRIAL_PRODUCT)
+    m = g * (n // math.gcd(n, pow(g, n.bit_length(), n)))
+    bits = m.bit_length()
+    step = bits + 32 + bits * bits // 96
+    if big_n**2 * step > MAX_EUCLID_WORK:
+        factors = f.modulus.factors
+        if big_n**2 * len(factors) > MAX_GCD_WORK:
+            most = max(math.isqrt(MAX_EUCLID_WORK // step),
+                       math.isqrt(MAX_GCD_WORK // len(factors)))
+            raise DomainError(f"check takes degree <= {most} modulo an n "
+                              f"with {len(factors)} distinct primes, got "
+                              f"degree {big_n}")
+        m = math.prod(p for p, _ in factors)
+    return _split_euclid(f.coeffs, m)

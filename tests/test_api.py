@@ -66,15 +66,13 @@ def test_oracle_shares_no_code_with_septest():
         assert not any("septest" in name for name in names), names
 
 
-def test_discriminant_shares_no_code_with_the_gcd_route():
-    # The determinant route never reaches the gcd route's Euclid over Z/p
-    # (criterion 8), nor the factorization of n that route starts from: no
-    # function that discriminant calls, directly or through other functions
-    # of septest, names either.
+def reached(name):
+    """The functions of septest that name calls, directly or through other
+    functions of septest, name included, with their bodies."""
     tree = ast.parse(Path(septest.__file__).read_text())
     bodies = {node.name: node for node in tree.body
               if isinstance(node, ast.FunctionDef)}
-    seen, todo = set(), ["discriminant"]
+    seen, todo = set(), [name]
     while todo:
         name = todo.pop()
         seen.add(name)
@@ -82,13 +80,30 @@ def test_discriminant_shares_no_code_with_the_gcd_route():
             if (isinstance(node, ast.Name) and node.id in bodies
                     and node.id not in seen):
                 todo.append(node.id)
-    assert {"discriminant", "trace_form", "_det_mod"} <= seen
-    assert not seen & {"_gcd_lists", "_rem_lists", "_separable_coeffs_mod_p"}
-    for name in seen:
-        for node in ast.walk(bodies[name]):
+    return {name: bodies[name] for name in seen}
+
+
+def test_discriminant_shares_no_code_with_the_gcd_route():
+    # The determinant route never reaches the gcd route's split Euclid
+    # (criterion 8), nor the factorization of n that route may fall back
+    # on: no function that discriminant calls, directly or through other
+    # functions of septest, names either.
+    seen = reached("discriminant")
+    assert {"discriminant", "trace_form", "_det_mod"} <= seen.keys()
+    assert not seen.keys() & {"is_separable", "_split_euclid"}
+    for name, body in seen.items():
+        for node in ast.walk(body):
             assert getattr(node, "id", None) != "factorize", name
             assert getattr(node, "attr", None) not in {"factors",
                                                        "factorize"}, name
+
+
+def test_gcd_route_shares_no_code_with_the_discriminant():
+    # And the other way: is_separable never reaches the trace form or the
+    # determinant over Z/n.
+    seen = reached("is_separable")
+    assert {"is_separable", "_split_euclid"} <= seen.keys()
+    assert not seen.keys() & {"discriminant", "trace_form", "_det_mod"}
 
 
 def test_walk_takes_no_mode():

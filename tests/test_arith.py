@@ -226,6 +226,19 @@ class TestModulus:
         assert m.factors == factorize(120) and calls == [120]
         assert m.factors == ((2, 3), (3, 1), (5, 1)) and calls == [120]
 
+    def test_factors_once_per_instance(self, monkeypatch):
+        # One factorize call for each instance, however often it is read,
+        # and then a plain attribute of that instance alone.
+        calls = []
+        monkeypatch.setattr(arith, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
+        first, second = Modulus(12), Modulus(12)
+        for _ in range(3):
+            assert first.factors == second.factors == ((2, 2), (3, 1))
+        assert calls == [12, 12]
+        assert vars(first) == {"n": 12, "factors": ((2, 2), (3, 1))}
+        assert "factors" not in vars(Modulus(12))
+
     @pytest.mark.parametrize("n", [6.9, Fraction(13, 2), "6"])
     def test_refuses_what_is_not_an_integer(self, n):
         # Modulus(6.9) was Z/6: n is never truncated to an int.

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -408,8 +409,9 @@ def test_factor_mersenne_61(capsys):
     (["check", "-n", "7", "-f", ",".join(["1"] * 1026)], 1, "usage error: "),
     (["trace-form", "-n", "7", "-f", ",".join(["1"] * 1026)], 1,
      "usage error: "),
-    # The commands that need the primes of 2^89 - 1.
-    (["check", "-n", "618970019642690137449562111", "-f", "x^2+x+1"], 2,
+    # The commands that need the primes of 2^89 - 1: check only where n is
+    # too wide for the degree without them.
+    (["check", "-n", str((2**89 - 1) * 1009**100), "-f", "x^1024+x+1"], 2,
      "domain error: "),
     (["count", "-n", "618970019642690137449562111", "-d", "2"], 2,
      "domain error: "),
@@ -423,6 +425,10 @@ def test_refusals_are_one_line(capsys, argv, status, prefix):
     assert "Traceback" not in captured.err
 
 
+def refuse_to_factor(n):
+    raise AssertionError(f"factorize({n})")
+
+
 @pytest.mark.parametrize("n", [2**89 - 1, 120])
 @pytest.mark.parametrize("factorize_raises", [False, True])
 def test_discriminant_route_never_factors(capsys, monkeypatch, n,
@@ -430,10 +436,7 @@ def test_discriminant_route_never_factors(capsys, monkeypatch, n,
     # disc and trace-form need no primes of n: they answer modulo 2^89 - 1,
     # which factorize refuses, and with factorize raising.
     if factorize_raises:
-        def refuse(n):
-            raise AssertionError(f"factorize({n})")
-
-        monkeypatch.setattr(arith, "factorize", refuse)
+        monkeypatch.setattr(arith, "factorize", refuse_to_factor)
     status, recs = run_lines(capsys, ["disc", "-n", str(n), "-f", "x^2+x+1"])
     assert status == 0
     # -3 is 618970019642690137449562108 modulo 2^89 - 1.
@@ -442,6 +445,61 @@ def test_discriminant_route_never_factors(capsys, monkeypatch, n,
                                       "x^2+x+1"])
     assert status == 0
     assert recs[0]["result"]["entries"] == [[2, n - 1], [n - 1, n - 1]]
+
+
+def catalogue_checks(workload):
+    """The check commands of a perfbench workload's whole catalogue."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # where its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    return [list(argv) for slot in workloads.catalogue(workload)
+            for group in slot for argv in group.argvs if argv[0] == "check"]
+
+
+def test_check_route_needs_no_rho_nor_miller_rabin(capsys, monkeypatch):
+    # check takes out the primes below 1000 by one gcd and splits the rest
+    # of n only where a leading coefficient asks: the 60 check candidates
+    # of factor_large_n (n = c p q) answer with rho and Miller-Rabin
+    # raising.
+    def refuse(*args):
+        raise AssertionError(f"factoring {args}")
+
+    monkeypatch.setattr(arith, "_rho_divisor", refuse)
+    monkeypatch.setattr(arith, "_is_certified_prime", refuse)
+    checks = catalogue_checks("factor_large_n")
+    assert len(checks) == 60
+    for argv in checks:
+        status, recs = run_lines(capsys, argv)
+        assert status == 0 and recs[0]["result"]["type"] == "bool"
+
+
+@pytest.mark.parametrize("n", [
+    # 2^89 - 1, a prime that factorize cannot certify, and a 278-bit n
+    # whose factor (2^89 - 1)^3 rho does not split within its cap.
+    2**89 - 1, (2**89 - 1)**3 * 1009,
+], ids=["2^89-1", "(2^89-1)^3*1009"])
+def test_check_answers_where_factoring_refuses(capsys, monkeypatch, n):
+    # disc(x^2+x+1) = -3, a unit modulo n.
+    monkeypatch.setattr(arith, "factorize", refuse_to_factor)
+    status, recs = run_lines(capsys, ["check", "-n", str(n), "-f",
+                                      "x^2+x+1"])
+    assert status == 0 and recs[0]["result"]["value"] is True
+    status, recs = run_lines(capsys, ["check", "-n", str(n), "-f",
+                                      "x^1024+x^2+1"])
+    assert status == 0 and recs[0]["result"]["type"] == "bool"
+
+
+def test_disc_bound_at_its_edge(capsys):
+    # 50^3 (2672 + 32 + 2672^2 // 768) = 1.5e9 = MAX_DET_WORK exactly, so
+    # modulo the 2672-bit 2^2671 + 1 degree 50 is the most disc takes.
+    assert cli.run(["disc", "-n", str(2**2671 + 1), "-f", "x^51+1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("domain error: disc takes degree <= 50 modulo a "
+                            "2672-bit n, got degree 51\n")
 
 
 def sepzn_process(*argv, **kwargs):
@@ -568,26 +626,38 @@ def test_trace_form_output_bound(capsys, digits, degree, most):
 
 @pytest.mark.parametrize("n, primes, most", [(2310, 5, 915),
                                               (223092870, 9, 682)])
-def test_check_bound(capsys, n, primes, most):
-    # check takes degree N while N^2 times the number of distinct primes of
-    # n is within septest.MAX_GCD_WORK (2^22).
-    status, recs = run_lines(capsys, ["check", "-n", str(n), "-f",
+def test_check_bound(capsys, monkeypatch, n, primes, most):
+    # Where m is too wide for the direct route, as it is for n with its
+    # largest prime traded for 1009^60, check factors n and takes degree N
+    # while N^2 times the number of distinct primes of n is within
+    # septest.MAX_GCD_WORK (2^22). n itself takes the direct route past
+    # that degree, with factorize raising.
+    wide = n // arith.factorize(n)[-1][0] * 1009**60
+    status, recs = run_lines(capsys, ["check", "-n", str(wide), "-f",
                                       f"x^{most}+x+1"])
     assert status == 0 and recs[0]["result"]["type"] == "bool"
-    assert cli.run(["check", "-n", str(n), "-f", f"x^{most + 1}+x+1"]) == 2
+    assert cli.run(["check", "-n", str(wide), "-f",
+                    f"x^{most + 1}+x+1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"domain error: check takes degree <= {most} "
                             f"modulo an n with {primes} distinct primes, got "
                             f"degree {most + 1}\n")
+    monkeypatch.setattr(arith, "factorize", refuse_to_factor)
+    status, recs = run_lines(capsys, ["check", "-n", str(n), "-f",
+                                      f"x^{most + 1}+x+1"])
+    assert status == 0 and recs[0]["result"]["type"] == "bool"
 
 
 def test_check_bound_is_inclusive(capsys):
     # 210 has 4 distinct primes and 1024^2 * 4 = 2^22 = MAX_GCD_WORK exactly,
-    # so degree 1024, the most the parser takes, is answered.
-    status, recs = run_lines(capsys, ["check", "-n", "210",
-                                      "-f", "x^1024+x+1"])
-    assert status == 0 and recs[0]["result"]["type"] == "bool"
+    # so degree 1024, the most the parser takes, is answered: modulo 210 by
+    # the direct route, and modulo 30 * 1009^60, too wide for it, through
+    # factoring.
+    for n in (210, 30 * 1009**60):
+        status, recs = run_lines(capsys, ["check", "-n", str(n),
+                                          "-f", "x^1024+x+1"])
+        assert status == 0 and recs[0]["result"]["type"] == "bool"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import itertools
 import json
 import os
@@ -24,8 +25,9 @@ from sepzn.oracle import (
     verify,
 )
 from sepzn.poly import PolyZn
-from sepzn.septest import _separable_coeffs_mod_p, is_separable
+from sepzn.septest import is_separable
 
+from gcd_reference import separable_mod_p
 from tracing import lines_run
 
 
@@ -465,9 +467,9 @@ PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def kernel_table(p, d, lo, hi):
-    """Verdicts of septest's gcd kernel on table indices [lo, hi) in the
-    sieve's order: digit i of the index in base p is coefficient i of a
-    polynomial of degree <= d."""
+    """Verdicts of the reference gcd kernel, the list Euclid over Z/p, on
+    table indices [lo, hi) in the sieve's order: digit i of the index in
+    base p is coefficient i of a polynomial of degree <= d."""
     # The window lies in one run of p^k entries that share digits k and up;
     # itertools.product runs the digits below k, its last (digit 0) fastest.
     k = 0
@@ -477,7 +479,7 @@ def kernel_table(p, d, lo, hi):
     high = [start // p**i % p for i in range(k, d + 1)]
     low = itertools.islice(itertools.product(range(p), repeat=k),
                            lo - start, hi - start)
-    return bytearray(_separable_coeffs_mod_p([*t[::-1], *high], p)
+    return bytearray(separable_mod_p([*t[::-1], *high], p)
                      for t in low)
 
 
@@ -517,6 +519,11 @@ def kernel_shifts(p, d):
             at = sum(c * p**i for i, c in enumerate(g[1:d], 1))
             table[at:at + p] = run[-k:] + run[:-k] if k else run
     return table
+
+
+@functools.cache
+def whole_table(p, d):
+    return oracle._sieve(p, d, 0, p**(d + 1))
 
 
 @st.composite
@@ -572,6 +579,29 @@ class TestSieve:
         # they take the squares of g of degree 3, packed in the widest slots.
         lo, hi = (p**d, 2 * p**d) if monic else (0, p**(d + 1))
         assert oracle._sieve(p, d, lo, hi) == kernel_table(p, d, lo, hi)
+
+    @pytest.mark.parametrize("p, d", [(2, 7), (3, 5), (5, 4), (7, 3),
+                                      (13, 2)])
+    def test_tables_match_split_euclid(self, p, d):
+        # septest's split Euclid on every entry of a whole table.
+        table = oracle._sieve(p, d, 0, p**(d + 1))
+        polys = itertools.product(range(p), repeat=d + 1)  # digit 0 last
+        assert table == bytearray(is_separable(PolyZn(Modulus(p), t[::-1]))
+                                  for t in polys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([12, 30, 45, 1001, 2**10 * 3**5,
+                            7**3 * 11**2 * 13, 13**3]),
+           st.integers(0, 3), st.data())
+    def test_composite_verdicts_match_tables(self, n, d, data):
+        # Over Z/n, f is separable exactly when its reduction mod each prime
+        # p | n is marked in the table of p.
+        coeffs = data.draw(st.lists(st.integers(0, n - 1), min_size=d + 1,
+                                    max_size=d + 1))
+        marks = [whole_table(p, d)[sum(c % p * p**i for i, c in
+                                       enumerate(coeffs))]
+                 for p, _ in Modulus(n).factors]
+        assert is_separable(PolyZn(Modulus(n), coeffs)) == all(marks)
 
     @settings(max_examples=200, deadline=None)
     @given(tables(), st.data())

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepzn import arith, septest
 from sepzn.arith import DomainError, Modulus
 from sepzn.poly import PolyZn, parse
 from sepzn.septest import (
+    _split_euclid,
     MAX_DET_WORK,
+    MAX_EUCLID_WORK,
     MAX_GCD_WORK,
     MAX_TRACE_DIGITS,
     _det_mod,
@@ -20,6 +24,7 @@ from sepzn.septest import (
     trace_form,
 )
 
+from gcd_reference import separable
 from tracing import lines_run
 
 
@@ -498,16 +503,65 @@ class TestSeparabilityGeneral:
 
     @pytest.mark.parametrize("n, primes", [(2 * 3 * 5 * 7 * 11, 5),
                                            (3**4 * 1009, 2)])
-    def test_bound_is_exact(self, n, primes):
-        # Degree N is taken while N^2 times the number of distinct primes of
-        # n is within MAX_GCD_WORK; the refusal names the largest degree.
-        # x^2 divides x^N, so the verdict at the bound is known.
-        m = Modulus(n)
+    def test_bound_is_exact(self, n, primes, monkeypatch):
+        # Where m is too wide for the direct route, as it is for n with its
+        # largest prime traded for 1009^60, n is factored and degree N is
+        # taken while N^2 times the number of distinct primes of n is within
+        # MAX_GCD_WORK; the refusal names the largest degree. n itself takes
+        # the direct route past that degree, with factorize raising. x^2
+        # divides x^N, so the verdict is known.
         largest = max(d for d in range(1, 2000)
                       if d * d * primes <= MAX_GCD_WORK)
-        assert is_separable(PolyZn(m, (0,) * largest + (1,))) is False
+        wide = Modulus(n // Modulus(n).factors[-1][0] * 1009**60)
+        assert is_separable(PolyZn(wide, (0,) * largest + (1,))) is False
         with pytest.raises(DomainError, match=f"degree <= {largest} "):
-            is_separable(PolyZn(m, (1, 1) + (0,) * (largest - 1) + (1,)))
+            is_separable(PolyZn(wide, (1, 1) + (0,) * (largest - 1) + (1,)))
+        monkeypatch.setattr(arith, "factorize", refuse_to_factor)
+        assert is_separable(PolyZn(Modulus(n), (0,) * (largest + 1)
+                                   + (1,))) is False
+
+    def test_direct_bound_is_inclusive(self, monkeypatch):
+        # 4000^2 (58 + 32 + 58^2 // 96) is MAX_EUCLID_WORK exactly: degree
+        # 4000 modulo the 58-bit prime 2^57 + 9 takes the direct route, and
+        # degree 4001 goes on to factor n.
+        assert 4000**2 * (58 + 32 + 58**2 // 96) == MAX_EUCLID_WORK
+        m = Modulus(2**57 + 9)
+        monkeypatch.setattr(arith, "factorize", refuse_to_factor)
+        assert is_separable(PolyZn(m, (1,) + (0,) * 3999 + (1,)))
+        with pytest.raises(AssertionError, match="factorize"):
+            is_separable(PolyZn(m, (1,) + (0,) * 4000 + (1,)))
+
+    @pytest.mark.parametrize("n, beyond", [
+        (2 * 3 * 5 * 7 * 11 * 1009**40, "check takes degree <= 953 modulo "
+         "an n with 6 distinct primes, got degree 954"),
+        ((2**89 - 1) * 1009**100, "cannot factor "),
+        (1009**400, None),
+    ], ids=["2310*1009^40", "M89*1009^100", "1009^400"])
+    def test_direct_bound_is_exact(self, n, beyond, monkeypatch):
+        # The direct route takes degree N while N^2 (b + 32 + b^2 // 96) is
+        # within MAX_EUCLID_WORK, b the bit length of m (here n itself);
+        # with factorize raising, it answers there. One degree more, n is
+        # factored: 2310 * 1009^40 is refused, since its 6 primes allow only
+        # degree 836 and the refusal names the larger bound; (2^89 - 1)
+        # 1009^100 has a prime that factorize cannot certify; 1009^400 is
+        # answered over 1009 alone.
+        b = n.bit_length()
+        most = max(d for d in range(1, 2000)
+                   if d * d * (b + 32 + b * b // 96) <= MAX_EUCLID_WORK)
+
+        def f(degree):  # x^N + 1, separable where no prime of n divides N
+            return PolyZn(Modulus(n), (1,) + (0,) * (degree - 1) + (1,))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(arith, "factorize", refuse_to_factor)
+            assert is_separable(f(most))
+            with pytest.raises(AssertionError, match="factorize"):
+                is_separable(f(most + 1))
+        if beyond is None:
+            assert is_separable(f(most + 1))
+        else:
+            with pytest.raises(DomainError, match=beyond):
+                is_separable(f(most + 1))
 
     def test_shift_invariance(self):
         for n in (4, 6, 9):
@@ -518,6 +572,158 @@ class TestSeparabilityGeneral:
                 for a in range(n):
                     shifted = substitute_x_plus_a(f, a)
                     assert is_separable(shifted) == sep
+
+
+# Primes for the split Euclid's moduli, from 2 to 2^89 - 1, which factorize
+# cannot certify.
+SPLIT_PRIMES = (2, 3, 5, 7, 11, 13, 997, 1009, 1013, 65537, 999983,
+                2**31 - 1, 10**9 + 7, MERSENNE_61, 2**89 - 1)
+
+
+@st.composite
+def moduli(draw):
+    """(n, its primes): a prime power, a squarefree n or a mixed one."""
+    kind = draw(st.sampled_from(["prime power", "squarefree", "mixed"]))
+    primes = sorted(draw(st.sets(st.sampled_from(SPLIT_PRIMES), min_size=1,
+                                 max_size=1 if kind == "prime power" else 4)))
+    n = 1
+    for p in primes:
+        top = 1 if kind == "squarefree" else 12 if p < 1000 else 3
+        n *= p**draw(st.integers(2 if kind == "prime power" else 1, top))
+    return n, primes
+
+
+class TestSplitEuclid:
+    """The gcd route's Euclid over Z/n against the list Euclid over Z/p for
+    each prime p of n."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(moduli(), st.integers(0, 64),
+           st.sampled_from(["any", "square", "multiple"]),
+           st.integers(0, 2**32))
+    def test_matches_reference(self, modulus, degree, form, seed):
+        # Coefficients near 0, p and n - 1, a square factor g^2 and the
+        # multiples of one prime make inseparable f and non-unit leading
+        # coefficients common. The coefficients come from a seeded Random:
+        # drawing 65 of them one by one costs Hypothesis more than the test.
+        n, primes = modulus
+        rng = random.Random(seed)
+        near = sorted({e % n for p in primes
+                       for e in (0, 1, p, p * p, n - 1, n - p)})
+
+        def poly(size):
+            return PolyZn(m, [rng.choice(near) if rng.random() < 0.5
+                              else rng.randrange(n) for _ in range(size)])
+
+        m = Modulus(n)
+        f = poly(degree + 1)
+        if form == "square" and degree >= 2:
+            g = poly(rng.randint(2, degree // 2 + 1))
+            f = g * g * PolyZn(m, f.coeffs[:degree - 2 * (g.degree or 0)
+                                            + 1])
+        elif form == "multiple":
+            p = rng.choice(primes)
+            f = PolyZn(m, [c * p if rng.random() < 0.7 else c
+                           for c in f.coeffs])
+        assert is_separable(f) == separable(f.coeffs, primes)
+
+    @pytest.mark.parametrize("n, degree, m", [
+        # Each prime below 1000 cut to its first power, and no other.
+        (2**1000 * 3**600 * 1009**2, 1024, 6 * 1009**2),
+        (2**89 - 1, 1024, 2**89 - 1),
+        # Too wide for the direct route: the product of n's primes.
+        (1009**400, 1024, 1009),
+        (2**61 * 3 * 1009**150, 700, 2 * 3 * 1009),
+    ], ids=["2^1000*3^600*1009^2", "2^89-1", "1009^400", "2^61*3*1009^150"])
+    def test_euclid_runs_modulo_m(self, monkeypatch, n, degree, m):
+        seen = []
+        monkeypatch.setattr(septest, "_split_euclid",
+                            lambda coeffs, u: seen.append(u) or True)
+        assert is_separable(PolyZn(Modulus(n), (1,) * (degree + 1)))
+        assert seen == [m]
+
+    def test_split_takes_whole_prime_powers(self):
+        # A leading coefficient 1009 t (t a unit) modulo 1009^3 * 1013 splits
+        # it once, into 1009^3, where 1009 is nilpotent, and 1013: not into
+        # 1009 and 1009^2 * 1013, which would split again and run the
+        # Euclid over Z/1009 more than once. The branch goes on over the
+        # larger part, 1009^3, on its rows, and 1013 comes after.
+        n = 1009**3 * 1013
+        coeffs = [5, 3, 1, 1009 * 7]
+        seen = {}
+
+        def trace(frame, event, arg):
+            if frame.f_code is not _split_euclid.__code__:
+                return None
+            seen.setdefault(frame.f_locals.get("u"))
+            return trace
+
+        before = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            verdict = _split_euclid(coeffs, n)
+        finally:
+            sys.settrace(before)
+        assert verdict == separable(coeffs, [1009, 1013])
+        assert [u for u in seen if u] == [n, 1009**3, 1013]
+
+    @pytest.mark.parametrize("n, primes", [
+        (3, [3]), (4, [2]), (1001, [7, 11, 13]),
+        (2**4 * 3**3 * 1009**2, [2, 3, 1009]), (2**61 * 1009, [2, 1009])])
+    def test_divisor_slots_stay_below_2u(self, n, primes):
+        # Every divisor row holds its slots in [0, 2U), U the modulus its
+        # branch packed it for: packed below U, or left below 2u <= 2U by
+        # the Barrett step. The no-carry bound needs that, though the slots
+        # that random f reach stay far enough below 2^W to hide a missed
+        # reduction from the verdict; so each branch's W and mu are checked
+        # against the bounds of the docstring too: 2 S U^2 < 2^W, and r = x -
+        # u floor(x mu / 2^W) in [0, 2u) for the lowest and highest 2^12
+        # values of x below 2^W (all of them modulo 3, where W is 8 and mu =
+        # 85 falls short of 2^W / u by a third). The rows are read at every
+        # line the kernel runs, over each branch's u.
+        seen, bounds, packed_for = [], set(), [None]
+        source, first = inspect.getsourcelines(_split_euclid)
+        barrett = first + next(i for i, line in enumerate(source)
+                               if line.lstrip().startswith("q = "))
+
+        def trace(frame, event, arg):
+            if frame.f_code is not _split_euclid.__code__:
+                return None
+            local = frame.f_locals
+            if event == "line" and isinstance(local.get("a"), list):
+                packed_for[0] = local["u"]  # the rows are about to be packed
+            elif event == "line" and isinstance(local.get("b"), int):
+                seen.append((local["b"], local["lb"], local["w"],
+                             packed_for[0]))
+                if frame.f_lineno == barrett:
+                    bounds.add((local["size"], local["w"], packed_for[0],
+                                local["u"], local["mu"]))
+            return trace
+
+        rng = random.Random(n)
+        for _ in range(30):
+            coeffs = [rng.randrange(n) for _ in range(13)] + [1]
+            before = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                verdict = _split_euclid(coeffs, n)
+            finally:
+                sys.settrace(before)
+            assert verdict == separable(coeffs, primes)
+        assert len({u for *_, u, _ in bounds}) >= min(len(primes), 2)
+        for b, lb, w, packed in seen:
+            assert 0 <= b < 1 << w * lb
+            assert all(b >> w * j & (1 << w) - 1 < 2 * packed
+                       for j in range(lb))
+        for size, w, packed, u, mu in bounds:
+            assert 2 * size * packed * packed < 1 << w
+            for x in {*range(min(1 << 12, 1 << w)),
+                      *range(max((1 << w) - (1 << 12), 0), 1 << w)}:
+                assert 0 <= x - u * (x * mu >> w) < 2 * u
+
+
+def refuse_to_factor(n):
+    raise AssertionError(f"factorize({n})")
 
 
 def substitute_x_plus_a(f, a):
