@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import signal
 import sys
 
 from . import census, oracle
@@ -253,6 +254,13 @@ def main():
     try:
         status = run(sys.argv[1:])
         sys.stdout.flush()
+    except KeyboardInterrupt:
+        # The records printed so far stay, one line says the run was cut,
+        # and the process ends by SIGINT, the status a shell expects.
+        sys.stdout.flush()
+        print("interrupted", file=sys.stderr)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
     except OSError as e:  # a failed write to stdout; a closed pipe is silent
         if not isinstance(e, BrokenPipeError):
             print(f"output error: {e}", file=sys.stderr)

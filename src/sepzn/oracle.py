@@ -11,8 +11,10 @@ criterion Carlitz counts).  So the verdicts mod p come from a square sieve,
 with no gcd: one byte per polynomial of degree <= d, at index sum c_i p^i,
 all 1 but the zero polynomial and every multiple of a g^2 marked 0.  The
 multiples of g^2 are indexed by their coefficients from x^(2e) up, e the
-degree of g, so those in a window of the table are a run of them, and each
-g is set up only for the steps of its run.
+degree of g, so those in a window of the table are a run of them.  Each
+degree e is set up once for all p^e monic g, one list per coefficient
+indexed by g, only as far as the steps of their runs need; what is left g
+by g is the walk along its run.
 
 For prime n a count over [lo, hi) is the number of ones in that window of
 the table, d the degree of index hi - 1, sieved a chunk of max(4 _BLOCK,
@@ -76,8 +78,9 @@ class BudgetExceeded(DomainError):
 def _sieve(p: int, d: int, lo: int, hi: int) -> bytearray:
     """Separability over Z/p of the polynomials f of degree <= d with table
     indices sum f_i p^i in [lo, hi), one byte each.  The work is the
-    window's marks plus, for each monic g of degree e <= d/2, only the
-    steps its run of multiples in the window needs."""
+    window's marks, for each degree e <= d/2 one set-up of all the monic g
+    of degree e together, as far as the steps of their runs of multiples
+    in the window need, and then each g's walk along its run."""
     table = bytearray(b"\1") * max(hi - lo, 0)
     if lo == 0 < hi:
         table[0] = 0  # the zero polynomial
@@ -86,13 +89,15 @@ def _sieve(p: int, d: int, lo: int, hi: int) -> bytearray:
         # f = T + R, T = sum m_j x^(2e + j) and deg R < 2e, is a multiple of
         # g^2 exactly when R = -(T mod g^2): m names one multiple, at index
         # m p^(2e) + sum R_k p^k, so only m in [first, last) reach [lo, hi).
-        block, place = p**(2 * e), [p**k for k in range(2 * e)]
+        block = p**(2 * e)
         first, last = lo // block, min(-(-hi // block), p**(d - 2 * e + 1))
-        # Steps to m in (first, last) wrap m_0 .. m_(j-1), p^j exactly dividing
-        # m, j <= j_max (-1: none); R at first is sum m_j r_j over its digits.
-        j_max = sum((last - 1) // p**j > first // p**j for j in range(d)) - 1
-        digits = [first // p**j % p for j in range(d) if first >= p**j]
-        top = max(j_max + 1, len(digits))
+        # R at first is sum m_j r_j over the digits of m = first, as many as
+        # last - 1 has.  Steps to m in (first, last) wrap m_0 .. m_(j-1), p^j
+        # exactly dividing m, j <= j_max (-1: none).
+        digits = [first // p**j % p for j in range(d) if last > p**j]
+        j_max = -1
+        while (last - 1) // p**(j_max + 1) > first // p**(j_max + 1):
+            j_max += 1
         # The step to first + 1 + i wraps depth[i] digits, the p-adic
         # valuation of that m: one byte per step, set for all g at once.
         depth = bytearray(max(last - first - 1, 0))
@@ -104,36 +109,51 @@ def _sieve(p: int, d: int, lo: int, hi: int) -> bytearray:
         # e products of low coefficients, twice one of them (times the lead)
         # and 1, so it is at most e(p - 1)^2 + 2(p - 1) + 1 < 2^W: no carry.
         width = (e * (p - 1)**2 + 2 * (p - 1) + 1).bit_length()
-        mask = (1 << width) - 1
-        slots = [range(0, p << width * i, 1 << width * i) for i in range(e)]
-        for g in map(sum, itertools.product(*slots, [1 << width * e])):
-            g *= g
-            s = r = [(g >> width * k & mask) % p
-                     for k in range(2 * e)]  # g^2 below its lead
-            # r_j = -(x^(2e + j) mod g^2), so R = sum m_j r_j.  Where m_0 ..
-            # m_(j-1) wrap to 0 and m_j goes up, R moves by r_0 + ... + r_j:
-            # R_k by c, the index by c p^k ((c - p) p^k on wrap).
-            rem, up, moves = [0] * (2 * e), [0] * (2 * e), []
-            for j in range(top):
-                if j < len(digits) and digits[j]:  # R at first
-                    rem = [(a + digits[j] * b) % p for a, b in zip(rem, r)]
-                if j <= j_max:
-                    up = [(a + b) % p for a, b in zip(up, r)]
-                    moves.append([(k, c, c * place[k], (c - p) * place[k])
-                                  for k, c in enumerate(up) if c])
-                if j + 1 < top:
-                    r = [(a - r[-1] * b) % p for a, b in zip([0, *r], s)]
-            t = first * block + sum(c * q for c, q in zip(rem, place)) - lo
-            if 0 <= t < size:
-                table[t] = 0
+        mask, lead = (1 << width) - 1, 1 << width * e
+        gs = range(lead, lead + p)  # g = x^e + a_0, then + a_i x^i
+        for i in range(1, e):
+            gs = [g + (a << width * i) for a in range(p) for g in gs]
+        count, squares = len(gs), [g * g for g in gs]
+        # From here on a polynomial of degree < 2e is set up for all count g
+        # at once: one list, coefficient k of the i-th g's at k count + i.
+        s = r = [q >> width * k & mask for k in range(2 * e) for q in squares]
+        # r_j = -(x^(2e + j) mod g^2), r_0 = s (not reduced), so R = sum
+        # m_j r_j.  Where m_0 .. m_(j-1) wrap to 0 and m_j goes up, R moves by
+        # up_j = r_0 + ... + r_j: R_k by c, the index by c p^k ((c - p) p^k
+        # on wrap).
+        rem = up = [0] * len(s)
+        ups = []
+        for j, digit in enumerate(digits):
+            if digit:
+                rem = [(a + digit * b) % p for a, b in zip(rem, r)]
+            if j <= j_max:
+                up = [(a + b) % p for a, b in zip(up, r)]
+                ups.append(up)
+            if j + 1 < len(digits):  # r_(j+1) = x r_j mod g^2
+                shift, high = [0] * count + r[:-count], r[-count:] * (2 * e)
+                r = [(a - c * b) % p for a, b, c in zip(shift, s, high)]
+        # Each g's multiple at first: its index has the base-p digits of
+        # first and then R_(2e - 1) .. R_0, read by Horner's rule.
+        marks = [first * p + c for c in rem[-count:]]
+        for k in reversed(range(0, len(rem) - count, count)):
+            marks = [t * p + c for t, c in zip(marks, rem[k:k + count])]
+        for t in marks:
+            if lo <= t < hi:
+                table[t - lo] = 0
+        if not depth:
+            continue
+        for i, t in enumerate(marks):  # walk the run of the i-th g
+            moves = [[(k, c, c * p**k, (c - p) * p**k)
+                      for k, c in enumerate(u[i::count]) if c] for u in ups]
+            rem_i, t = rem[i::count], t - lo  # its R, as the walk goes
             for j in depth:  # step to the next m, mark it
                 t += block
                 for k, c, step, wrap in moves[j]:
-                    v = rem[k] + c
+                    v = rem_i[k] + c
                     if v < p:
-                        rem[k], t = v, t + step
+                        rem_i[k], t = v, t + step
                     else:
-                        rem[k], t = v - p, t + wrap
+                        rem_i[k], t = v - p, t + wrap
                 if t < size:
                     table[t] = 0
     return table

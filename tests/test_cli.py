@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -554,6 +555,22 @@ def test_import_loads_no_pool_dataclasses_or_fractions():
     assert "sepzn.oracle" in loaded
     on_demand = {"concurrent", "multiprocessing", "dataclasses", "fractions"}
     assert not [name for name in loaded if name.split(".")[0] in on_demand]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_interrupt_is_one_line(workers):
+    # Ctrl-C in a shell: SIGINT to the process group (the pool's workers
+    # too) a second into a walk of 2^25 tuples, which takes several.
+    proc = sepzn_process("enumerate", "-n", "2", "-d", "24", "--budget",
+                         "1000000000", "--workers", workers,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         start_new_session=True)
+    time.sleep(1)
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGINT
+    assert err == b"interrupted\n"
+    assert out == b""
 
 
 def process_stdout(*argv):

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepzn import arith, census, oracle
@@ -536,6 +536,25 @@ def tables(draw):
     return (p, d, 0, size) if size <= 13**5 else (p, d, p**d, 2 * p**d)
 
 
+@st.composite
+def sieve_windows(draw):
+    # A whole table of at most 2 10^5 entries and a window of it that cuts
+    # the runs of the multiples of the squares of degree e: shorter than a
+    # block of p^(2e) (at most one multiple of each g^2), or p or p^2
+    # blocks long, or any width, from anywhere in the table.
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 31]))
+    d = draw(st.integers(2, max(d for d in range(20)
+                                if p**(d + 1) <= 2 * 10**5)))
+    block = p**(2 * draw(st.integers(1, d // 2)))
+    size = p**(d + 1)
+    lo = draw(st.integers(0, size - 1))
+    width = draw(st.one_of(
+        st.sampled_from([1, block // 2, block - 1, block, block + 1,
+                         p * block + 1, p**2 * block - 1]),
+        st.integers(1, size)))
+    return p, d, lo, min(lo + width, size)
+
+
 class TestSieve:
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("monic", [True, False])
@@ -640,6 +659,32 @@ class TestSieve:
         whole = oracle._sieve(p, d, start, end)
         assert len(whole) == end - start
         assert oracle._sieve(p, d, lo, hi) == whole[lo - start:hi - start]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sieve_windows())
+    @example((2, 16, 3 * 2**12 + 5, 7 * 2**13 + 3))  # e = 1 .. 8, many steps
+    @example((5, 6, 5**6 + 7, 2 * 5**6 - 2))  # e = 3, mid-block at both ends
+    @example((3, 8, 3**8 - 1, 3**8 + 3**6 + 1))  # one multiple of each g^2
+    @example((31, 2, 31**2 + 5, 2 * 31**2 - 5))
+    def test_window_is_a_slice_of_the_whole_table(self, window):
+        # A window sieved alone is the slice of the whole table, wherever
+        # it cuts the runs of multiples: levels e = 1 .. 3 (up to 8 at
+        # p = 2), runs of one multiple and runs of many steps.
+        p, d, lo, hi = window
+        assert oracle._sieve(p, d, lo, hi) == whole_table(p, d)[lo:hi]
+
+    def test_setup_is_per_level(self):
+        # The monic quadratics mod 1009: one multiple of each of the 1009
+        # squares g^2, so the work is set-up.  Each level is set up for
+        # all g at once, a few list entries per g, and each g costs only
+        # its mark: about 10 lines per g (29 when set up g by g).
+        lo, hi = 1009**2, 2 * 1009**2
+        window, lines = lines_run(oracle._sieve, 1009, 2, lo, hi)
+        assert lines < 12 * 1009
+        assert window == kernel_shifts(1009, 2)
+        for at in (lo, lo + 500000, hi - 2000):
+            assert window[at - lo:at - lo + 2000] == kernel_table(
+                1009, 2, at, at + 2000)
 
     def test_work_follows_the_window(self):
         # 2000 entries far into a table of 1009^3: the sieve visits only
