@@ -4,17 +4,17 @@ Two routes are provided and cross-checked against each other:
 
 * the trace-form discriminant for monic polynomials (the determinant over
   Z/n of the matrix of traces of the multiplication operators x^(i+j) on
-  Z/n[x]/f, by elimination over rows packed one to an int: each row after
-  the first packs as the row above shifted down one slot, each pivot row is
-  reduced by one Barrett step over the whole int, and each row below takes
-  one big-int multiply-add per pivot; separable iff it is a unit), and
+  Z/n[x]/f, by elimination with one big-int multiply-add per row per
+  pivot; separable iff it is a unit), and
 * the gcd route for any f: one Euclid of f' and f over Z/m, m being n with
-  each prime below 1000 cut to its first power, on rows packed one to an
-  int with one Barrett step per remainder. Where a leading coefficient is a
-  zero divisor, m is split at it (dynamic evaluation), with no factoring;
-  separable iff every branch ends in a unit constant. Where m is too wide
-  for f's degree, n is factored and the same Euclid runs over the product
-  of its primes.
+  each prime below 1000 cut to its first power, with one multiply-add per
+  division step. Where a leading coefficient is a zero divisor, m is split
+  at it (dynamic evaluation), with no factoring; separable iff every branch
+  ends in a unit constant. Where m is too wide for f's degree, n is
+  factored and the same Euclid runs over the product of its primes.
+
+Both kernels work on rows packed one to an int by _Rows, each pivot row or
+remainder reduced by its Barrett step, and split a modulus by _part.
 """
 
 from __future__ import annotations
@@ -70,57 +70,82 @@ def trace_form(f: PolyZn) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s[i:i + big_n]) for i in range(big_n))
 
 
+class _Rows:
+    """Rows of residues packed one to an int, the format both exact kernels
+    work in: slot j of a row holds entry j in bits [jW, (j + 1) W), W the
+    bit length of a bound rounded up to whole bytes, so that a row packs and
+    unpacks through bytes in time linear in its length. A caller keeps
+    every slot below the bound, at least 2u for each modulus u it packs or
+    reduces for, and so no carry crosses into the next slot.
+
+    reduce takes every slot x < 2^W of a row of at most size slots into [0,
+    2u) by one Barrett step over the whole int: its even and its odd slots
+    are split apart, each slot alone in a 2W-bit field. With mu = floor(2^W
+    / u), q = floor(x mu / 2^W) lies in [floor(x / u) - 1, x / u]: x mu <
+    2^(2W) stays in its field. The q of both halves, joined back into W-bit
+    slots, times u is subtracted at once: q u <= x, so no borrow crosses a
+    slot, and each slot is left in [0, 2u)."""
+
+    def __init__(self, bound: int, size: int):
+        self.wb = wb = (bound.bit_length() + 7) // 8
+        self.w, self.mask = 8 * wb, (1 << 8 * wb) - 1
+        # The W-bit mask in the low half of each 2W-bit field.
+        self.low = int.from_bytes((b"\xff" * wb + bytes(wb))
+                                  * ((size + 1) // 2), "little")
+
+    def pack(self, row, u: int) -> int:
+        return int.from_bytes(b"".join((x % u).to_bytes(self.wb, "little")
+                                       for x in row), "little")
+
+    def unpack(self, row: int, length: int) -> list[int]:
+        raw, wb = row.to_bytes(length * self.wb, "little"), self.wb
+        return [int.from_bytes(raw[j:j + wb], "little")
+                for j in range(0, len(raw), wb)]
+
+    def reduce(self, row: int, u: int) -> int:
+        low, w = self.low, self.w
+        mu = (1 << w) // u
+        return row - ((row & low) * mu >> w & low
+                      | ((row >> w & low) * mu >> w & low) << w) * u
+
+
+def _part(u: int, c: int) -> int:
+    """gcd(u, c^bits(u)): the part of u at the primes of c."""
+    return math.gcd(u, pow(c, u.bit_length(), u))
+
+
 def _det_mod(matrix, n: int) -> int:
     """Determinant of an N x N matrix over Z/n, in [0, n), by elimination
-    over packed rows: a row is one int whose W-bit slot j holds column j,
-    with W the bit length of N n^2 + n rounded up to whole bytes, so that a
-    row packs and unpacks through bytes in time linear in its length. A row
-    equal to the row above moved one column left, as every row of a trace
-    form after the first is, packs as the packed row above shifted down one
-    slot with its last entry ORed in.
+    over rows packed as _Rows. A row equal to the row above moved one column
+    left, as every row of a trace form after the first is, packs as the
+    packed row above shifted down one slot with its last entry ORed in.
 
     Each step swaps a pivot x of least gcd(x, n) into the top row, reduces
-    that row into [0, n), and gives each row below one multiply-add, row +
-    c top with c in [0, n), that makes its first slot a multiple of n; that
-    slot is then dropped (>> W). Only the next first slot is read and
-    reduced. A slot starts below n and each step adds less than n^2, so it
-    stays below N n^2 + n < 2^W: no carry crosses into the next slot.
-
-    The top row is reduced by one Barrett step over the whole int: its even
-    and its odd slots are split apart, each slot x < 2^W alone in a 2W-bit
-    field. With mu = floor(2^W / n), q = floor(x mu / 2^W) lies in
-    [floor(x / n) - 1, x / n]: x mu < 2^(2W) stays in its field, and r = x -
-    q n lies in [0, 2n), so no borrow crosses a field either. Bit W of r +
-    2^W - n < 2^(W+1) is set iff r >= n, and subtracting that bit times n
-    leaves x mod n. The two halves are then ORed back together.
+    that row into [0, 2n) by one Barrett step, and gives each row below one
+    multiply-add, row + c top with c in [0, n), that makes its first slot a
+    multiple of n; that slot is then dropped (>> W). Only the next first
+    slot is read and reduced. A slot starts below n and each of the at most
+    N - 1 steps adds less than 2n^2, so it stays below 2 N n^2 + n.
 
     Such a c exists when k = gcd(x, n) divides every entry b below x, as
     it does when x is a unit or n a prime power. Otherwise n is split at
     the first b that k does not divide, with no factorization: u is the
-    part of n at the primes where k has more factors than b, and v = n / u.
-    As x has the least gcd in its column, b cannot have fewer factors at
-    every prime, so 1 < u < n. The rows left are unpacked, and their
-    determinants modulo u and v are joined by the CRT; repacked, their slots
-    narrow to u and v (4x faster than rows kept packed for n). The result
-    is that times the signed product of the pivots taken, 0 once that
-    product is."""
-    wb = ((len(matrix) * n * n + n).bit_length() + 7) // 8
-    w = 8 * wb
-    mask = (1 << w) - 1
+    part of n at the primes of k / gcd(k, b), where k has more factors than
+    b, and v = n / u. As x has the least gcd in its column, b cannot have
+    fewer factors at every prime, so 1 < u < n. The rows left are unpacked,
+    and their determinants modulo u and v are joined by the CRT; repacked,
+    their slots narrow to u and v (4x faster than rows kept packed for n).
+    The result is that times the signed product of the pivots taken, 0 once
+    that product is."""
+    size = len(matrix)
+    fmt = _Rows(2 * size * n * n + n, size)
+    w, mask = fmt.w, fmt.mask
     rows = []
     for i, row in enumerate(matrix):
         if i and row[:-1] == matrix[i - 1][1:]:
             rows.append(rows[-1] >> w | row[-1] % n << w * (len(row) - 1))
         else:
-            rows.append(int.from_bytes(b"".join(
-                (x % n).to_bytes(wb, "little") for x in row), "little"))
-    # Barrett's constants: 1, the mask and 2^W - n in the low half of each of
-    # the 2W-bit fields that hold a row's even (or odd) slots, and mu.
-    half = (len(rows) + 1) // 2
-    ones, low, lift = (int.from_bytes((x.to_bytes(wb, "little") + bytes(wb))
-                                      * half, "little")
-                       for x in (1, mask, (1 << w) - n))
-    mu = (1 << w) // n
+            rows.append(fmt.pack(row, n))
     det = 1
     while rows and det:
         if (size := len(rows)) == 1:
@@ -129,19 +154,12 @@ def _det_mod(matrix, n: int) -> int:
             k, i = min((math.gcd(r & mask, n), i) for i, r in enumerate(rows))
             rows[0], rows[i], det = rows[i], rows[0], -det if i else det
             if b := next((r & mask for r in rows if (r & mask) % k), 0):
-                u = math.gcd(n, pow(k // math.gcd(k, b), n.bit_length(), n))
+                u = _part(n, k // math.gcd(k, b))
                 v = n // u
-                raw = [r.to_bytes(size * wb, "little") for r in rows]
-                rest = [[int.from_bytes(r[j:j + wb], "little")
-                         for j in range(0, len(r), wb)] for r in raw]
+                rest = [fmt.unpack(r, size) for r in rows]
                 du, dv = _det_mod(rest, u), _det_mod(rest, v)
                 return det * (du + u * ((dv - du) * pow(u, -1, v) % v)) % n
-        even, odd = rows[0] & low, rows[0] >> w & low
-        even -= (even * mu >> w & low) * n  # each field now below 2n
-        odd -= (odd * mu >> w & low) * n
-        even -= (even + lift >> w & ones) * n
-        odd -= (odd + lift >> w & ones) * n
-        top = even | odd << w
+        top = fmt.reduce(rows[0], n)
         m, x = n // k, top & mask
         inv, det = -pow(x // k, -1, m) % m, det * x % n
         rows = [r + (r & mask) % n // k * inv % m * top >> w for r in rows[1:]]
@@ -164,8 +182,8 @@ def discriminant(f: PolyZn) -> int:
     bits = n.bit_length()
     step = bits + 32 + bits * bits // 768
     if f.degree**3 * step > MAX_DET_WORK:
-        most = next(d for d in range(f.degree, 0, -1)
-                    if d**3 * step <= MAX_DET_WORK)
+        most = next((d for d in range(f.degree, 0, -1)
+                     if d**3 * step <= MAX_DET_WORK), 0)
         raise DomainError(f"disc takes degree <= {most} modulo a {bits}-bit "
                           f"n, got degree {f.degree}")
     return _det_mod(trace_form(f), n)
@@ -181,68 +199,44 @@ def _split_euclid(coeffs, m: int) -> bool:
     one Euclid of f' and f over Z/m, with m split where it has to be
     (dynamic evaluation), and no factorization of m.
 
-    A branch works over Z/u, u | m, on rows packed one to an int for a
-    modulus U, u | U: the leading coefficient in the lowest W-bit slot, W the
-    bit length of 2 S U^2 with S = len(coeffs) + 1, rounded up to whole
-    bytes. Each remainder step is one multiply-add, a + k b with k in [0,
-    u), that makes a's lowest slot a multiple of u; that slot is then
-    dropped (>> W). A slot starts below 2U and each of the at most S - 1
-    steps adds less than 2U^2, so it stays below 2 S U^2 <= 2^W: no carry
-    crosses into the next slot.
-
-    Each remainder is then reduced by one Barrett step over the whole int:
-    its even and its odd slots are split apart, each slot x < 2^W alone in a
-    2W-bit field. With mu = floor(2^W / u), q = floor(x mu / 2^W) lies in
-    [floor(x / u) - 1, x / u]: x mu < 2^(2W) stays in its field. The q of
-    both halves, joined back into W-bit slots, times u is subtracted at
-    once: q u <= x, so no borrow crosses a slot, and each slot is left in
-    [0, 2u).
+    A branch works over Z/u, u | m, on rows packed as _Rows for a modulus U,
+    u | U, the leading coefficient in the lowest slot, for slots below 2 S
+    U^2 with S = len(coeffs) + 1. Each remainder step is one multiply-add, a
+    + k b with k in [0, u), that makes a's lowest slot a multiple of u; that
+    slot is then dropped (>> W). A slot starts below 2U and each of the at
+    most S - 1 steps adds less than 2U^2, so it stays below 2 S U^2. Each
+    remainder is then reduced into [0, 2u) by one Barrett step.
 
     A divisor's leading coefficient c must be a unit. Where it is not, u1 =
-    gcd(u, c^bits(u)) is the part of u at the primes of c. Over Z/u1, c is
+    _part(u, c) is the part of u at the primes of c. Over Z/u1, c is
     nilpotent, so 0 modulo each of its primes, and its slot is dropped; over
     Z/(u / u1) it is a unit. When u1 = u the slot is dropped. When 1 < u1 <
     u the branch goes on over the larger part, on the same rows, and the
     smaller part is set aside, its rows unpacked, to be packed again in
     narrower slots. f is separable when every branch ends in a unit
     constant."""
-    size = len(coeffs) + 1
+    size = len(coeffs)
     todo = [(m, [i * c for i, c in enumerate(coeffs)][:0:-1], coeffs[::-1])]
     while todo:
         u, a, b = todo.pop()
-        wb = ((2 * size * u * u).bit_length() + 7) // 8
-        w = 8 * wb
-        mask = (1 << w) - 1
-        # The W-bit mask in the low half of each 2W-bit field, and mu.
-        low = int.from_bytes((mask.to_bytes(wb, "little") + bytes(wb))
-                             * (size // 2), "little")
-        mu = (1 << w) // u
-        la, lb = len(a), len(b)
-        a, b = (int.from_bytes(b"".join((x % u).to_bytes(wb, "little")
-                                        for x in row), "little")
-                for row in (a, b))
+        fmt = _Rows(2 * (size + 1) * u * u, size)
+        w, mask = fmt.w, fmt.mask
+        la, lb, a, b = len(a), len(b), fmt.pack(a, u), fmt.pack(b, u)
         while lb:
             c = (b & mask) % u
             if math.gcd(c, u) == 1:
                 inv = -pow(c, -1, u) % u
                 for _ in range(la - lb + 1):
                     a = a + (a & mask) * inv % u * b >> w
-                la = min(la, lb - 1)
-                q = (a & low) * mu >> w & low
-                a -= (q | ((a >> w & low) * mu >> w & low) << w) * u
-                a, b, la, lb = b, a, lb, la
+                a, b, la, lb = b, fmt.reduce(a, u), lb, min(la, lb - 1)
                 continue
-            u1 = math.gcd(u, pow(c, u.bit_length(), u))
+            u1 = _part(u, c)
             if u1 == u:
                 b >>= w
                 lb -= 1
                 continue
             small, u = sorted((u1, u // u1))
-            mu = (1 << w) // u
-            todo.append((small, *([int.from_bytes(raw[j:j + wb], "little")
-                                   for j in range(0, len(raw), wb)]
-                                  for raw in (a.to_bytes(la * wb, "little"),
-                                              b.to_bytes(lb * wb, "little")))))
+            todo.append((small, fmt.unpack(a, la), fmt.unpack(b, lb)))
         if la != 1 or math.gcd(a, u) != 1:
             return False
     return True
@@ -252,12 +246,9 @@ def _split_euclid(coeffs, m: int) -> bool:
 # N^2 slot multiply-adds, on slots twice as wide as m, so each is dearer as
 # m's bit length b grows: N^2 (b + 32 + b^2 // 96) must stay within
 # MAX_EUCLID_WORK.  On a 2-vCPU host the slowest inputs found at the bound
-# answer in 0.9-1.9 s as a process, all with dense f: modulo 1009^77 (769
-# bits, degree 536) 1.1-1.9 s, modulo 1009^40 (400 bits, degree 976) and,
-# the slowest that splits, modulo the product of the 130 primes from 1009 up
-# (1365 bits, degree 310, split now and then by its leading coefficients)
-# 0.9-1.7 s.  A split goes on over its larger part and repacks the smaller
-# one in narrower rows, so it adds no width.
+# (README names them) answer in 0.9-1.9 s as a process, all with dense f.
+# A split goes on over its larger part and repacks the smaller one in
+# narrower rows, so it adds no width.
 MAX_EUCLID_WORK = 2_000_000_000
 # check's bound where m is too wide: n is factored, and the Euclid runs over
 # the product of its primes while N^2 times their number stays within
@@ -276,7 +267,7 @@ def is_separable(f: PolyZn) -> bool:
     above both bounds."""
     n, big_n = f.modulus.n, f.degree or 0
     g = math.gcd(n, _TRIAL_PRODUCT)
-    m = g * (n // math.gcd(n, pow(g, n.bit_length(), n)))
+    m = g * (n // _part(n, g))
     bits = m.bit_length()
     step = bits + 32 + bits * bits // 96
     if big_n**2 * step > MAX_EUCLID_WORK:

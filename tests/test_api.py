@@ -67,11 +67,12 @@ def test_oracle_shares_no_code_with_septest():
 
 
 def reached(name):
-    """The functions of septest that name calls, directly or through other
-    functions of septest, name included, with their bodies."""
+    """The functions and classes of septest that name calls, directly or
+    through other functions and classes of septest, name included, with
+    their bodies."""
     tree = ast.parse(Path(septest.__file__).read_text())
     bodies = {node.name: node for node in tree.body
-              if isinstance(node, ast.FunctionDef)}
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     seen, todo = set(), [name]
     while todo:
         name = todo.pop()
@@ -87,7 +88,8 @@ def test_discriminant_shares_no_code_with_the_gcd_route():
     # The determinant route never reaches the gcd route's split Euclid
     # (criterion 8), nor the factorization of n that route may fall back
     # on: no function that discriminant calls, directly or through other
-    # functions of septest, names either.
+    # functions of septest, names either. Both routes share only the
+    # packed-row layer, _Rows and _part.
     seen = reached("discriminant")
     assert {"discriminant", "trace_form", "_det_mod"} <= seen.keys()
     assert not seen.keys() & {"is_separable", "_split_euclid"}

@@ -1,8 +1,6 @@
-import inspect
 import itertools
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +16,7 @@ from sepzn.septest import (
     MAX_GCD_WORK,
     MAX_TRACE_DIGITS,
     _det_mod,
+    _Rows,
     discriminant,
     is_separable,
     is_separable_monic,
@@ -26,6 +25,87 @@ from sepzn.septest import (
 
 from gcd_reference import separable
 from tracing import lines_run
+
+
+def slots(row, w, count):
+    """The count W-bit slots of a packed row, lowest first."""
+    return [row >> w * j & (1 << w) - 1 for j in range(count)]
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    """Every _Rows the kernels make, in order. Each records its size and
+    its calls in order, with the calls of _part made while it is the
+    newest: ("pack", u, length), ("reduce", u, row, reduced row) and
+    ("part", u, c, part)."""
+    made, part = [], septest._part
+
+    class Recording(_Rows):
+        def __init__(self, bound, size):
+            super().__init__(bound, size)
+            self.size, self.calls = size, []
+            made.append(self)
+
+        def pack(self, row, u):
+            self.calls.append(("pack", u, len(row)))
+            return super().pack(row, u)
+
+        def reduce(self, row, u):
+            self.calls.append(("reduce", u, row, super().reduce(row, u)))
+            return self.calls[-1][3]
+
+    def recording_part(u, c):
+        made[-1].calls.append(("part", u, c, part(u, c)))
+        return made[-1].calls[-1][3]
+
+    monkeypatch.setattr(septest, "_Rows", Recording)
+    monkeypatch.setattr(septest, "_part", recording_part)
+    return made
+
+
+class TestRows:
+    """The packed-row layer both exact kernels work in."""
+
+    def test_slot_is_the_bound_in_whole_bytes(self):
+        for bits in range(1, 130):
+            for bound in (1 << bits - 1, (1 << bits) - 1):
+                w = _Rows(bound, 1).w
+                assert w % 8 == 0 and 1 << w - 8 <= bound < 1 << w
+
+    @pytest.mark.parametrize("u, bound", [
+        (2, 255), (3, 255), (4, 255), (5, 255),
+        (1001, 2 * 3 * 1001**2), (2**61 * 1009, 2 * 3 * (2**61 * 1009)**2),
+        (1009**3 * 1013, 2 * 3 * (1009**3 * 1013)**2)],
+        ids=["2", "3", "4", "5", "1001", "2^61*1009", "1009^3*1013"])
+    def test_barrett_step_leaves_each_slot_below_2u(self, u, bound):
+        # Each x sits in each slot of a row of three, whose other slots hold
+        # 2^W - 1: a borrow across slots, or the last slot, alone in a
+        # half-full 2W-bit field, left unreduced, would show. At W = 8 every
+        # x is tried (mu = 85 falls short of 2^W / 3 by a third), at wide u
+        # the lowest and highest 2^12 below 2^W.
+        fmt = _Rows(bound, 3)
+        w, full = fmt.w, (1 << fmt.w) - 1
+        xs = range(1 << w) if w == 8 else [*range(1 << 12),
+                                           *range(full - 4095, full + 1)]
+        for x in xs:
+            for j in range(3):
+                row = [full] * 3
+                row[j] = x
+                out = fmt.reduce(sum(r << w * i for i, r in enumerate(row)),
+                                 u)
+                assert 0 <= out < 1 << 3 * w
+                assert all(0 <= s < 2 * u and (s - r) % u == 0
+                           for s, r in zip(slots(out, w, 3), row))
+
+    def test_pack_and_unpack_round_trip(self):
+        # Modulo 2^16 every 16-bit value is a residue, 2^16 - 1 included;
+        # unpack keeps the trailing zero slots, which the int does not hold.
+        fmt = _Rows((1 << 16) - 1, 6)
+        row = [5, (1 << 16) - 1, 0, 1, 0, 0]
+        packed = fmt.pack(row, 1 << 16)
+        assert packed == 5 | 0xffff << 16 | 1 << 48
+        assert fmt.unpack(packed, 6) == row
+        assert fmt.pack([x + (3 << 16) for x in row], 1 << 16) == packed
 
 
 def monic_polys(n, deg):
@@ -226,7 +306,7 @@ def lu_matrix(rng, n, size):
     """L U mod n, with U unit upper triangular with a draw near n - 1 above
     its diagonal and L unit lower triangular with its negation below: the
     elimination's multipliers and pivot rows are then near n - 1, and each
-    step grows a packed slot by nearly (n - 1)^2, the most it can."""
+    step grows a packed slot by nearly (n - 1)^2."""
     big = [rng.randint(max(0, n - 3), n - 1) for _ in range(size * size)]
 
     def lower(i, k):
@@ -301,8 +381,8 @@ class TestDiscriminant:
 
     @pytest.mark.parametrize("n", [2, 3, 2**61 * 1009])
     def test_trace_form_determinant_matches_integer_determinant(self, n):
-        # Modulo 2 and 3 the slots are narrowest, one byte below degree 64
-        # and 29, so a slot and the Barrett field around it leave the least
+        # Modulo 2 and 3 the slots are narrowest, one byte below degree 32
+        # and 15, so a slot and the Barrett field around it leave the least
         # room above n. Modulo 2^61 1009 a column may hold no unit and n
         # splits. Every row after the first packs from the row above.
         rng = random.Random(n)
@@ -313,37 +393,30 @@ class TestDiscriminant:
                 assert discriminant(f) == integer_det(trace_form(f)) % n
 
     @pytest.mark.parametrize("n", [3, 1001, 2**61 * 1009])
-    def test_det_mod_reduces_every_pivot_row(self, n):
-        # After its Barrett step each slot of the top row lies in [0, n),
-        # which the no-carry bound needs though byte-rounded slots hide a
-        # missed reduction from the determinant. Modulo 3 (8-bit slots, mu =
-        # 85) every nonzero multiple of 3 needs the conditional subtraction;
-        # an L U draw grows slots near 2^W, where q falls short of x / n by
-        # most. The top rows are read from each _det_mod frame, the split's
-        # too.
-        seen = []
-
-        def trace(frame, event, arg):
-            if frame.f_code is not _det_mod.__code__:
-                return None
-            if event == "line" and "top" in frame.f_locals:
-                seen.append(tuple(map(frame.f_locals.get, ("top", "w", "n"))))
-            return trace
-
+    def test_det_mod_reduces_every_pivot_row(self, n, layers):
+        # Each branch's slots hold 2 N n^2 + n, N its rows, which the no-carry
+        # bound needs though byte-rounded slots hide a narrower W from the
+        # determinant. The j-th pivot row of a branch has N - j slots, each
+        # below 2^W with no carry past the last, and its Barrett step leaves
+        # each in [0, 2n), congruent to what it was. Modulo 3 the slots are
+        # narrowest (16 bits); an L U draw grows a slot by nearly (n - 1)^2
+        # a step. The split's branches are read too.
         rng = random.Random(n)
         f = PolyZn(Modulus(n), [rng.randrange(n) for _ in range(16)] + [1])
         lu = lu_matrix(rng, n, 16)
-        before = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            dets = [_det_mod(trace_form(f), n), _det_mod(lu, n)]
-        finally:
-            sys.settrace(before)
+        dets = [_det_mod(trace_form(f), n), _det_mod(lu, n)]
         assert dets == [integer_det(m) % n for m in (trace_form(f), lu)]
-        assert len(seen) > 16
-        for top, w, modulus in seen:
-            assert all(top >> j & (1 << w) - 1 < modulus
-                       for j in range(0, top.bit_length(), w))
+        reduced = [[call[1:] for call in layer.calls if call[0] == "reduce"]
+                   for layer in layers]
+        assert sum(map(len, reduced)) > 16
+        for layer, steps in zip(layers, reduced):
+            w, size = layer.w, layer.size
+            for j, (u, row, top) in enumerate(steps):
+                assert 2 * size * u * u + u < 1 << w
+                assert 0 <= row < 1 << w * (size - j)
+                assert 0 <= top < 1 << w * (size - j)
+                assert all(s < 2 * u and (s - r) % u == 0 for s, r in zip(
+                    slots(top, w, size - j), slots(row, w, size - j)))
 
     @pytest.mark.parametrize("matrix, n, det", [
         ([[2, 3], [3, 2]], 6, 1),
@@ -389,6 +462,15 @@ class TestDiscriminant:
         with pytest.raises(DomainError, match=f"degree <= {largest} "):
             discriminant(PolyZn(m, (1, 3) + (0,) * (largest - 1) + (1,)))
 
+    def test_refuses_degree_1_past_the_widest_n(self):
+        # Past about 1.07 * 10^6 bits even degree 1 is over MAX_DET_WORK:
+        # the refusal names degree 0, while trace_form still takes f.
+        f = PolyZn(Modulus(2**1_100_000 + 1), (1, 1))
+        assert trace_form(f) == ((1,),)
+        with pytest.raises(DomainError, match="degree <= 0 modulo a "
+                                              "1100001-bit n, got degree 1"):
+            discriminant(f)
+
     @pytest.mark.parametrize("n, split", [
         (999983, False), (1001, False), (1001, True),
     ], ids=["999983", "1001", "1001-split"])
@@ -410,7 +492,8 @@ class TestDiscriminant:
             column = [math.gcd(row[0], n) for row in matrix]
             assert min(column) > 1 and any(g % min(column) for g in column)
             bound *= len(Modulus(n).factors) + 1
-        det, lines = lines_run(_det_mod, matrix, n)
+        det, lines = lines_run(_det_mod, matrix, n, also=(
+            _Rows.__init__, _Rows.pack, _Rows.unpack, _Rows.reduce))
         if split:
             assert det == integer_det(matrix) % n
         else:
@@ -642,7 +725,7 @@ class TestSplitEuclid:
         assert is_separable(PolyZn(Modulus(n), (1,) * (degree + 1)))
         assert seen == [m]
 
-    def test_split_takes_whole_prime_powers(self):
+    def test_split_takes_whole_prime_powers(self, layers):
         # A leading coefficient 1009 t (t a unit) modulo 1009^3 * 1013 splits
         # it once, into 1009^3, where 1009 is nilpotent, and 1013: not into
         # 1009 and 1009^2 * 1013, which would split again and run the
@@ -650,76 +733,58 @@ class TestSplitEuclid:
         # larger part, 1009^3, on its rows, and 1013 comes after.
         n = 1009**3 * 1013
         coeffs = [5, 3, 1, 1009 * 7]
-        seen = {}
-
-        def trace(frame, event, arg):
-            if frame.f_code is not _split_euclid.__code__:
-                return None
-            seen.setdefault(frame.f_locals.get("u"))
-            return trace
-
-        before = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            verdict = _split_euclid(coeffs, n)
-        finally:
-            sys.settrace(before)
-        assert verdict == separable(coeffs, [1009, 1013])
-        assert [u for u in seen if u] == [n, 1009**3, 1013]
+        assert _split_euclid(coeffs, n) == separable(coeffs, [1009, 1013])
+        moduli = [call[1] for layer in layers for call in layer.calls]
+        assert list(dict.fromkeys(moduli)) == [n, 1009**3, 1013]
+        assert [call[1] for layer in layers for call in layer.calls
+                if call[0] == "pack"] == [n, n, 1013, 1013]
 
     @pytest.mark.parametrize("n, primes", [
         (3, [3]), (4, [2]), (1001, [7, 11, 13]),
         (2**4 * 3**3 * 1009**2, [2, 3, 1009]), (2**61 * 1009, [2, 1009])])
-    def test_divisor_slots_stay_below_2u(self, n, primes):
-        # Every divisor row holds its slots in [0, 2U), U the modulus its
-        # branch packed it for: packed below U, or left below 2u <= 2U by
-        # the Barrett step. The no-carry bound needs that, though the slots
+    def test_divisor_slots_stay_below_2u(self, n, primes, layers):
+        # Every remainder holds its slots in [0, 2u), u the modulus of its
+        # branch, and u divides U, the modulus the branch packed its rows
+        # for; it fits exactly the lb slots the kernel counts, with no carry
+        # past the last. The no-carry bound needs that, though the slots
         # that random f reach stay far enough below 2^W to hide a missed
-        # reduction from the verdict; so each branch's W and mu are checked
-        # against the bounds of the docstring too: 2 S U^2 < 2^W, and r = x -
-        # u floor(x mu / 2^W) in [0, 2u) for the lowest and highest 2^12
-        # values of x below 2^W (all of them modulo 3, where W is 8 and mu =
-        # 85 falls short of 2^W / u by a third). The rows are read at every
-        # line the kernel runs, over each branch's u.
-        seen, bounds, packed_for = [], set(), [None]
-        source, first = inspect.getsourcelines(_split_euclid)
-        barrett = first + next(i for i, line in enumerate(source)
-                               if line.lstrip().startswith("q = "))
-
-        def trace(frame, event, arg):
-            if frame.f_code is not _split_euclid.__code__:
-                return None
-            local = frame.f_locals
-            if event == "line" and isinstance(local.get("a"), list):
-                packed_for[0] = local["u"]  # the rows are about to be packed
-            elif event == "line" and isinstance(local.get("b"), int):
-                seen.append((local["b"], local["lb"], local["w"],
-                             packed_for[0]))
-                if frame.f_lineno == barrett:
-                    bounds.add((local["size"], local["w"], packed_for[0],
-                                local["u"], local["mu"]))
-            return trace
-
+        # reduction from the verdict; so each branch's W and Barrett step
+        # are checked against the bounds of the docstrings too: 2 S U^2 <
+        # 2^W, S = len(coeffs) + 1, and each u's step takes the lowest and
+        # highest 2^12 values below 2^W into [0, 2u). The kernel's counts
+        # are replayed from the calls: a branch packs a (la slots), then b
+        # (lb); a remainder has min(la, lb - 1) slots and the divisor
+        # becomes the dividend; a leading coefficient nilpotent modulo u
+        # (its part of u is u) drops a slot of b; a split keeps both.
         rng = random.Random(n)
         for _ in range(30):
             coeffs = [rng.randrange(n) for _ in range(13)] + [1]
-            before = sys.gettrace()
-            sys.settrace(trace)
-            try:
-                verdict = _split_euclid(coeffs, n)
-            finally:
-                sys.settrace(before)
-            assert verdict == separable(coeffs, primes)
-        assert len({u for *_, u, _ in bounds}) >= min(len(primes), 2)
-        for b, lb, w, packed in seen:
-            assert 0 <= b < 1 << w * lb
-            assert all(b >> w * j & (1 << w) - 1 < 2 * packed
-                       for j in range(lb))
-        for size, w, packed, u, mu in bounds:
-            assert 2 * size * packed * packed < 1 << w
-            for x in {*range(min(1 << 12, 1 << w)),
-                      *range(max((1 << w) - (1 << 12), 0), 1 << w)}:
-                assert 0 <= x - u * (x * mu >> w) < 2 * u
+            assert _split_euclid(coeffs, n) == separable(coeffs, primes)
+        reducing = {call[1] for layer in layers for call in layer.calls
+                    if call[0] == "reduce"}
+        assert len(reducing) >= min(len(primes), 2)
+        remainders = 0
+        for layer in layers:
+            w, size, lb = layer.w, layer.size, None
+            for kind, u, *rest in layer.calls:
+                if kind == "pack":
+                    packed, la, lb = u, lb, rest[0]
+                    assert 2 * (size + 1) * u * u < 1 << w
+                elif kind == "part" and rest[1] == u:
+                    lb -= 1
+                elif kind == "reduce":
+                    la, lb = lb, min(la, lb - 1)
+                    row, rem = rest
+                    assert packed % u == 0
+                    assert 0 <= row < 1 << w * lb and 0 <= rem < 1 << w * lb
+                    assert all(s < 2 * u and (s - r) % u == 0 for s, r in zip(
+                        slots(rem, w, lb), slots(row, w, lb)))
+                    remainders += 1
+            for u in {call[1] for call in layer.calls if call[0] == "reduce"}:
+                for x in {*range(min(1 << 12, 1 << w)),
+                          *range(max((1 << w) - (1 << 12), 0), 1 << w)}:
+                    assert 0 <= _Rows.reduce(layer, x, u) < 2 * u
+        assert remainders > 2 * 30
 
 
 def refuse_to_factor(n):
