@@ -6,7 +6,7 @@ arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 from operator import index
 
@@ -157,10 +157,19 @@ def _factors(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 k += 1
             exponents[p] = k
+    return tuple(exponents.items()) + _cofactor_factors(m, n)
+
+
+def _cofactor_factors(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers of m >= 1, primes increasing: m is what trial
+    division leaves of n, free of every prime below _TRIAL_BOUND or below
+    the square of the first prime it did not try.  Raises what factorize(n)
+    raises."""
     if m < _TRIAL_BOUND * _TRIAL_BOUND:  # 1, or a prime above every p taken
-        return tuple(exponents.items()) + (((m, 1),) if m > 1 else ())
+        return ((m, 1),) if m > 1 else ()
     # The smallest cofactor first, and each certified prime divided out of
     # every cofactor left: a prime power p^k takes a few splits, not k.
+    exponents: dict[int, int] = {}
     cofactors = [m]
     while cofactors:
         m = min(cofactors)
@@ -179,18 +188,6 @@ def _factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(exponents.items()))
 
 
-class _Factors:
-    """Modulus.factors: factorize(n) on the first read, kept as a plain
-    attribute of the instance, which this non-data descriptor then no longer
-    sees.  functools.cached_property takes a lock on each first read."""
-
-    def __get__(self, modulus, owner=None):
-        if modulus is None:
-            return self
-        modulus.factors = factors = factorize(modulus.n)
-        return factors
-
-
 class Modulus:
     """The ring Z/n for n >= 2; `factors` is factorize(n), on first read.
 
@@ -203,7 +200,9 @@ class Modulus:
             raise DomainError(f"modulus must satisfy |n| >= 2, got {n}")
         self.n = n
 
-    factors = _Factors()
+    @cached_property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        return factorize(self.n)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.n == other.n

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from enum import Enum
 from math import prod
-from operator import index
+from operator import index, mul
 
-from .arith import DomainError, Modulus, totient_prime_power
+from .arith import (_TRIAL_PRIMES, DomainError, Modulus, _cofactor_factors,
+                    totient_prime_power)
 
 
 class Mode(str, Enum):
@@ -30,6 +31,11 @@ class Mode(str, Enum):
 # and set size is printed as one; no count is taken over a larger set.
 MAX_DIGITS = 4300
 _SIZE_LIMIT = 10**MAX_DIGITS
+# A block of _counts_by_n's sieve holds rows of about _BLOCK_BITS bits in
+# all: a count at degree d over Z/n has at most (d + 1) bits(n) bits, and
+# each int, and each n's row, costs about _INT_BITS more.
+_BLOCK_BITS = 1 << 24
+_INT_BITS = 512
 
 
 def _require_degree(d: int):
@@ -47,10 +53,8 @@ def _counts(factors, ds: range, mode: Mode) -> list[int]:
     the product of the prime powers p^k in factors, one p^k at a time: the
     one home of each formula, whose one-degree case the public counts are."""
     _require_degree(ds.start)
-    if mode == "exact":  # leq(d) - leq(d - 1), and phi(n) = leq(0) at d = 0
-        leq = _counts(factors, range(max(ds.start - 1, 0), ds.stop), Mode.LEQ)
-        steps = [b - a for a, b in zip(leq, leq[1:])]
-        return (leq[:1] if ds.start == 0 else []) + steps
+    if mode == "exact":
+        return _exact(_counts(factors, _leq_degrees(ds), Mode.LEQ), ds)
     result = [1] * len(ds)
     for p, k in factors:  # each p^k's term of every degree, multiplied in
         pk, low = p**k, p ** (k - 1)  # phi(p^k) = pk - low
@@ -62,6 +66,54 @@ def _counts(factors, ds: range, mode: Mode) -> list[int]:
                 result[i] *= (pk - low) * (q + r) if d else pk - low
             q, r = q * pk, r * low
     return result
+
+
+def _leq_degrees(ds: range) -> range:
+    """The degrees whose degree <= d counts give the exact counts at ds."""
+    return range(max(ds.start - 1, 0), ds.stop)
+
+
+def _exact(leq: list[int], ds: range) -> list[int]:
+    """The exact counts at ds from the degree <= d counts at _leq_degrees(ds):
+    leq(d) - leq(d - 1), and phi(n) = leq(0) at d = 0."""
+    steps = [b - a for a, b in zip(leq, leq[1:])]
+    return (leq[:1] if ds.start == 0 else []) + steps
+
+
+def _counts_by_n(ns: range, ds: range, mode: Mode):
+    """(n, counts(Modulus(n), ds, mode)) for each n of ns (step 1, from 2),
+    with no set checked against window.  The rows are built one block of
+    consecutive n at a time by a multiplicative sieve: the row of terms of
+    each p^k, from _counts, is built once per block and multiplied into the
+    row of every n of the block that p^k exactly divides.  Raises what
+    factorize(n) raises at the first n it cannot factor, after the n before
+    it."""
+    exact = mode == "exact"
+    row_ds, row_mode = (_leq_degrees(ds), Mode.LEQ) if exact else (ds, mode)
+    row_bits = (len(row_ds) + 1) * (row_ds.stop * ns.stop.bit_length()
+                                    + _INT_BITS)
+    block = max(1, _BLOCK_BITS // row_bits)
+    for a in range(ns.start, ns.stop, block):
+        b = min(a + block, ns.stop)
+        rest, rows = list(range(a, b)), [None] * (b - a)  # n's cofactor, row
+        for p in _TRIAL_PRIMES:
+            if p >= b:
+                break
+            terms = {}  # k -> the row of terms of p^k
+            for i in range(-a % p, b - a, p):
+                m, k = rest[i] // p, 1
+                while m % p == 0:
+                    m, k = m // p, k + 1
+                rest[i] = m
+                if k not in terms:
+                    terms[k] = _counts([(p, k)], row_ds, row_mode)
+                rows[i] = (terms[k] if rows[i] is None
+                           else list(map(mul, rows[i], terms[k])))
+        for i, n in enumerate(range(a, b)):
+            row, rows[i] = rows[i] or [1] * len(row_ds), None
+            for q, e in _cofactor_factors(rest[i], n):
+                row = list(map(mul, row, _counts([(q, e)], row_ds, row_mode)))
+            yield n, _exact(row, ds) if exact else row
 
 
 def count_monic_separable(m: Modulus, d: int) -> int:

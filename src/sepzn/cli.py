@@ -144,10 +144,10 @@ def _cmd_table(args) -> int:
         rows = ('{"command": "table", "inputs": {"n": %d, "d": %d, '
                 '"mode": "%s"}, "result": {"type": "count", "value": %d, '
                 '"proportion": "%d/%d"}, "provenance": "formula"}\n') * len(ds)
-    for n in ns if ds else ():  # one count of every degree per n
+    for n, counts in census._counts_by_n(ns, ds, mode) if ds else ():
         start, stop = census.window(n, args.d_min, mode)
         size, fields = stop - start, []  # n times larger at each next d
-        for d, count in zip(ds, census.counts(Modulus(n), ds, mode)):
+        for d, count in zip(ds, counts):
             g = math.gcd(count, size)
             fields += n, d, name, count, count // g, size // g
             size *= n

@@ -1,11 +1,22 @@
+import collections
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepzn.arith import DomainError, Modulus, totient, totient_prime_power
+from sepzn import census
+from sepzn.arith import (
+    DomainError,
+    Modulus,
+    factorize,
+    totient,
+    totient_prime_power,
+)
 from sepzn.census import (
     Mode,
     count,
@@ -252,6 +263,85 @@ class TestCounts:
         with pytest.raises(DomainError, match="degree must be >= 0, got -1"):
             counts(Modulus(6), range(-1, 2), mode)
         assert counts(m, range(3, 3), mode) == []
+
+
+# First n of the ranges drawn below: ranges that cross 1000 and 10^6, that
+# hold powers of 2, 3 and 997 and their neighbours, and n near 10^12, most
+# of them with a cofactor above 10^6 after the primes below 1000.  1009^2 is
+# the least cofactor free of those primes that is not prime.
+FIRST_N = st.one_of(
+    st.integers(min_value=2, max_value=1100),
+    st.integers(min_value=10**6 - 40, max_value=10**6 + 5),
+    st.sampled_from([2**20, 3**12, 997, 997**2, 997**3, 997**4, 1009**2])
+    .flatmap(lambda n: st.integers(min_value=n - 20, max_value=n + 2)),
+    st.integers(min_value=10**12 - 40, max_value=10**12 + 20))
+
+
+class TestCountsByN:
+    """_counts_by_n, the sieve behind `table`, against counts n by n."""
+
+    @staticmethod
+    def blocks(ns, ds, mode):
+        """The number of blocks _counts_by_n sieves: the term row of 2^1 is
+        built once in each block of more than three n."""
+        built, terms = [], census._counts
+
+        def counting(factors, *rest):
+            built.append(factors == [(2, 1)])
+            return terms(factors, *rest)
+
+        with mock.patch.object(census, "_counts", counting):
+            collections.deque(census._counts_by_n(ns, ds, mode), maxlen=0)
+        return sum(built)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(FIRST_N, st.integers(min_value=1, max_value=30),
+           st.sampled_from(list(Mode)), st.integers(min_value=0, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=40000))
+    @example(990, 20, Mode.EXACT, 0, 3, 20000)
+    @example(997**2 - 4, 8, Mode.LEQ, 1, 3, 8000)
+    @example(997**4 - 3, 6, Mode.MONIC, 2, 2, 1 << 24)
+    @example(10**6 - 12, 20, Mode.EXACT, 2, 3, 1)
+    @example(2**20 - 2, 5, Mode.LEQ, 0, 2, 1)
+    @example(1009**2 - 1, 3, Mode.LEQ, 1, 1, 1 << 24)
+    @example(3**12 - 3, 5, Mode.MONIC, 0, 3, 1 << 24)
+    def test_match_counts(self, first, length, mode, d_min, degrees, bits):
+        # A small budget: a block of 1 to about 60 n, so ranges straddle
+        # block edges.
+        ns, ds = range(first, first + length), range(d_min, d_min + degrees)
+        with mock.patch.object(census, "_BLOCK_BITS", bits):
+            rows = list(census._counts_by_n(ns, ds, mode))
+        assert rows == [(n, counts(Modulus(n), ds, mode)) for n in ns]
+
+    @pytest.mark.parametrize("bits", [1, 1 << 24])
+    def test_refuse_inside_a_block_after_the_n_before(self, bits):
+        # 2^89 - 1 is a probable prime above where primality is certified.
+        ns = range(2**89 - 3, 2**89 + 2)
+        with pytest.raises(DomainError) as refused:
+            factorize(2**89 - 1)
+        with mock.patch.object(census, "_BLOCK_BITS", bits):
+            rows = census._counts_by_n(ns, range(0, 3), Mode.EXACT)
+            assert [n for n, _ in itertools.islice(rows, 2)] == list(ns[:2])
+            with pytest.raises(DomainError) as raised:
+                next(rows)
+        assert str(raised.value) == str(refused.value)
+
+    def test_memory_stays_one_block(self):
+        # A block of about 50 n: the peak over 40 blocks is that over 10.
+        peaks, ds = [], range(0, 7)
+        with mock.patch.object(census, "_BLOCK_BITS", 1 << 18):
+            for length, least in [(600, 10), (2400, 40)]:
+                ns = range(10**5, 10**5 + length)  # every stop 17 bits long
+                assert self.blocks(ns, ds, Mode.EXACT) >= least
+                tracemalloc.start()
+                collections.deque(
+                    census._counts_by_n(ns, ds, Mode.EXACT), maxlen=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        # One block's rows, 8 ints each, take about 20 kB.
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] < 100_000
 
 
 class TestRecurrence:

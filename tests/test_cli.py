@@ -724,26 +724,32 @@ def test_largest_printable_set_of_a_composite(capsys):
 
 
 def test_table_streams_rows(monkeypatch):
-    # Each n's rows are written before the next n is counted, and each n
-    # is factored once (through Modulus.factors; the corners' check before
-    # the first row fills factorize's cache).
+    # With one n per block of the sieve, each n's rows are written before
+    # the next block is sieved; only the corners are factored, and the
+    # sieve builds each row without factorize.
     out = io.StringIO()
     written, factored = [], []
-    counts, factorize = cli.census.counts, arith.factorize
+    terms, factorize = census._counts, arith.factorize
 
     def counting(*args):
         written.append(out.getvalue().count("\n"))
-        return counts(*args)
+        return terms(*args)
 
-    monkeypatch.setattr(cli.census, "counts", counting)
-    monkeypatch.setattr(arith, "factorize",
-                        lambda n: factored.append(n) or factorize(n))
+    def factoring(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(census, "_BLOCK_BITS", 1)
+    monkeypatch.setattr(census, "_counts", counting)
+    monkeypatch.setattr(arith, "factorize", factoring)
+    monkeypatch.setattr(cli, "factorize", factoring)
     with contextlib.redirect_stdout(out):
         assert cli.run(["table", "--n-min", "2", "--n-max", "4",
                         "--d-min", "0", "--d-max", "1"]) == 0
-    # One counts call per n after the header, and two rows per n.
+    # One term row per block (2, 3, then 2^2) after the header and the two
+    # rows of each n before it.
     assert written == [1, 3, 5]
-    assert factored == [2, 3, 4]
+    assert factored == [2, 4]
     assert out.getvalue().count("\n") == 7
 
 
