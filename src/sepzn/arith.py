@@ -32,8 +32,9 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 # about half a minute.
 _RHO_STEP_CAP = 1 << 25
 _RHO_BATCH = 128  # differences multiplied together per gcd
-# Distinct n whose factorizations are kept; `table` over a wide range of n
-# must not keep one per n.
+# Distinct n whose factorizations or refusals are kept: each command builds
+# a new Modulus, so a process that runs many commands on one n factors it
+# once; bounded, since a caller may factor any number of distinct n.
 _CACHE_SIZE = 4096
 
 

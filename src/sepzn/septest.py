@@ -11,7 +11,8 @@ Two routes are provided and cross-checked against each other:
   division step. Where a leading coefficient is a zero divisor, m is split
   at it (dynamic evaluation), with no factoring; separable iff every branch
   ends in a unit constant. Where m is too wide for f's degree, n is
-  factored and the same Euclid runs over the product of its primes.
+  factored and the same Euclid, under the same work rule, runs over the
+  product of its primes.
 
 Both kernels work on rows packed one to an int by _Rows, each pivot row or
 remainder reduced by its Barrett step, and split a modulus by _part.
@@ -169,8 +170,8 @@ def _det_mod(matrix, n: int) -> int:
 # disc's bound: a degree N trace form modulo a b-bit n costs about N^2 / 2
 # multiply-adds on rows of N slots, each dearer as b grows; N^3 (b + 32 +
 # b^2 // 768) must stay within MAX_DET_WORK, left as it was. On a 2-vCPU host
-# the slowest inputs found at the bound answer in 1.4-1.7 s as a process:
-# n of 95-125 primes, split off one or two at a time.
+# the slowest input found at the bound answers in 0.9-1.0 s as a process:
+# n of 125 primes, split off one or two at a time (README names it).
 MAX_DET_WORK = 1_500_000_000
 
 
@@ -242,41 +243,40 @@ def _split_euclid(coeffs, m: int) -> bool:
     return True
 
 
-# check's bound on its direct route: a degree N Euclid over Z/m takes about
-# N^2 slot multiply-adds, on slots twice as wide as m, so each is dearer as
-# m's bit length b grows: N^2 (b + 32 + b^2 // 96) must stay within
-# MAX_EUCLID_WORK.  On a 2-vCPU host the slowest inputs found at the bound
-# (README names them) answer in 0.9-1.9 s as a process, all with dense f.
-# A split goes on over its larger part and repacks the smaller one in
-# narrower rows, so it adds no width.
+# check's work rule: a degree N Euclid over Z/u takes about N^2 slot
+# multiply-adds, on slots twice as wide as u, so each is dearer as u's bit
+# length b grows: N^2 (b + 32 + b^2 // 96) must stay within MAX_EUCLID_WORK.
+# It bounds the Euclid over the cut m and over the product of n's primes
+# alike. On a 2-vCPU host the slowest inputs found at the bound (README
+# names them) answer in 0.9-1.3 s as a process, all with dense f. A split
+# goes on over its larger part and repacks the smaller one in narrower
+# rows, so it adds no width.
 MAX_EUCLID_WORK = 2_000_000_000
-# check's bound where m is too wide: n is factored, and the Euclid runs over
-# the product of its primes while N^2 times their number stays within
-# MAX_GCD_WORK.  Every n that can be factored keeps that degree, however
-# wide m is.
-MAX_GCD_WORK = 2**22
 # The primes below 1000 multiplied: gcd(n, _TRIAL_PRODUCT) is n's part there.
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+
+
+def _euclid_degree(u: int) -> int:
+    """The largest degree whose Euclid over Z/u the work rule takes."""
+    bits = u.bit_length()
+    return math.isqrt(MAX_EUCLID_WORK // (bits + 32 + bits * bits // 96))
 
 
 def is_separable(f: PolyZn) -> bool:
     """Separability of any f over Z/n: f is separable modulo every prime
     p | n.  The Euclid runs over m, n with each prime below 1000 cut to its
-    first power (found by one gcd, with no factoring); where m is too wide
-    for f's degree, over the product of n's primes.  Raises DomainError
-    above both bounds."""
+    first power (found by one gcd, with no factoring); where f's degree is
+    over the work rule's for m, n is factored and it runs over the product
+    of n's primes, which divides m.  Raises DomainError where the degree is
+    over the rule's for that product too."""
     n, big_n = f.modulus.n, f.degree or 0
     g = math.gcd(n, _TRIAL_PRODUCT)
     m = g * (n // _part(n, g))
-    bits = m.bit_length()
-    step = bits + 32 + bits * bits // 96
-    if big_n**2 * step > MAX_EUCLID_WORK:
-        factors = f.modulus.factors
-        if big_n**2 * len(factors) > MAX_GCD_WORK:
-            most = max(math.isqrt(MAX_EUCLID_WORK // step),
-                       math.isqrt(MAX_GCD_WORK // len(factors)))
+    if big_n > _euclid_degree(m):
+        m = math.prod(p for p, _ in f.modulus.factors)
+        if big_n > (most := _euclid_degree(m)):
             raise DomainError(f"check takes degree <= {most} modulo an n "
-                              f"with {len(factors)} distinct primes, got "
-                              f"degree {big_n}")
-        m = math.prod(p for p, _ in factors)
+                              f"whose distinct primes make a "
+                              f"{m.bit_length()}-bit product, got degree "
+                              f"{big_n}")
     return _split_euclid(f.coeffs, m)

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepzn import arith, census, cli, oracle
+from sepzn import arith, census, cli, oracle, septest
 from sepzn.arith import Modulus
+
+from slow_inputs import primes_from
 
 
 def run_lines(capsys, argv):
@@ -496,6 +498,11 @@ def test_check_answers_where_factoring_refuses(capsys, monkeypatch, n):
 def test_disc_bound_at_its_edge(capsys):
     # 50^3 (2672 + 32 + 2672^2 // 768) = 1.5e9 = MAX_DET_WORK exactly, so
     # modulo the 2672-bit 2^2671 + 1 degree 50 is the most disc takes.
+    # disc(x^N + 1) = (-1)^(N (N - 1) / 2) N^N.
+    status, recs = run_lines(capsys, ["disc", "-n", str(2**2671 + 1), "-f",
+                                      "x^50+1"])
+    assert status == 0
+    assert recs[0]["result"]["value"] == -50**50 % (2**2671 + 1)
     assert cli.run(["disc", "-n", str(2**2671 + 1), "-f", "x^51+1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -641,40 +648,73 @@ def test_trace_form_output_bound(capsys, digits, degree, most):
                             f"modulo a {digits}-digit n, got degree {degree}\n")
 
 
-@pytest.mark.parametrize("n, primes, most", [(2310, 5, 915),
-                                              (223092870, 9, 682)])
-def test_check_bound(capsys, monkeypatch, n, primes, most):
-    # Where m is too wide for the direct route, as it is for n with its
-    # largest prime traded for 1009^60, check factors n and takes degree N
-    # while N^2 times the number of distinct primes of n is within
-    # septest.MAX_GCD_WORK (2^22). n itself takes the direct route past
-    # that degree, with factorize raising.
-    wide = n // arith.factorize(n)[-1][0] * 1009**60
-    status, recs = run_lines(capsys, ["check", "-n", str(wide), "-f",
+# The 40 primes from 1009 up multiplied: 406 bits.
+P40 = math.prod(primes_from(1009, 40))
+
+
+@pytest.mark.parametrize("n, rad, most", [
+    (P40**2, P40, 963), (223092870 * P40**3, 223092870 * P40, 907),
+], ids=["P40^2", "223092870*P40^3"])
+def test_check_bound(capsys, monkeypatch, n, rad, most):
+    # P40 is the product of the 40 primes from 1009 up. n's cut m is too
+    # wide for degree `most`, so check factors n and takes degree N while N^2
+    # (b + 32 + b^2 // 96) is within septest.MAX_EUCLID_WORK, b the bit
+    # length of rad, the product of n's primes; one degree more is refused,
+    # and the refusal names that degree and b. rad itself is its own cut m:
+    # with factorize raising, the direct route answers at the same degree.
+    b = rad.bit_length()
+    assert most == max(d for d in range(1, 1025)
+                       if d * d * (b + 32 + b * b // 96) <= 2 * 10**9)
+    status, recs = run_lines(capsys, ["check", "-n", str(n), "-f",
                                       f"x^{most}+x+1"])
     assert status == 0 and recs[0]["result"]["type"] == "bool"
-    assert cli.run(["check", "-n", str(wide), "-f",
-                    f"x^{most + 1}+x+1"]) == 2
+    assert cli.run(["check", "-n", str(n), "-f", f"x^{most + 1}+x+1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"domain error: check takes degree <= {most} "
-                            f"modulo an n with {primes} distinct primes, got "
-                            f"degree {most + 1}\n")
+                            f"modulo an n whose distinct primes make a "
+                            f"{b}-bit product, got degree {most + 1}\n")
     monkeypatch.setattr(arith, "factorize", refuse_to_factor)
-    status, recs = run_lines(capsys, ["check", "-n", str(n), "-f",
-                                      f"x^{most + 1}+x+1"])
+    status, recs = run_lines(capsys, ["check", "-n", str(rad), "-f",
+                                      f"x^{most}+x+1"])
     assert status == 0 and recs[0]["result"]["type"] == "bool"
+    with pytest.raises(AssertionError, match="factorize"):
+        cli.run(["check", "-n", str(rad), "-f", f"x^{most + 1}+x+1"])
 
 
-def test_check_bound_is_inclusive(capsys):
-    # 210 has 4 distinct primes and 1024^2 * 4 = 2^22 = MAX_GCD_WORK exactly,
-    # so degree 1024, the most the parser takes, is answered: modulo 210 by
-    # the direct route, and modulo 30 * 1009^60, too wide for it, through
-    # factoring.
-    for n in (210, 30 * 1009**60):
-        status, recs = run_lines(capsys, ["check", "-n", str(n),
-                                          "-f", "x^1024+x+1"])
-        assert status == 0 and recs[0]["result"]["type"] == "bool"
+def test_check_bound_is_inclusive(capsys, monkeypatch):
+    # With MAX_EUCLID_WORK at 1000^2 * 49, degree 1000 is exactly the most
+    # the rule takes over the 15-bit 30 * 1009 (15 + 32 + 15^2 // 96 = 49).
+    # Modulo 30 * 1009^60, too wide for it, check factors n and answers;
+    # degree 1001 is refused.
+    monkeypatch.setattr(septest, "MAX_EUCLID_WORK", 1000**2 * 49)
+    n = 30 * 1009**60
+    status, recs = run_lines(capsys, ["check", "-n", str(n),
+                                      "-f", "x^1000+x+1"])
+    assert status == 0 and recs[0]["result"]["type"] == "bool"
+    assert cli.run(["check", "-n", str(n), "-f", "x^1001+x+1"]) == 2
+    assert capsys.readouterr().err == (
+        "domain error: check takes degree <= 1000 modulo an n whose "
+        "distinct primes make a 15-bit product, got degree 1001\n")
+
+
+def test_readme_check_examples(capsys):
+    # Modulo 2310 * 1009^40 (411 bits) the direct route stops at degree 953;
+    # the product of n's primes, 2310 * 1009, takes the parser's 1024.
+    # x^954 + 1 is a square modulo 2. The refusal: the square of P130, the
+    # product of the 130 primes from 1009 up, is answered up to degree 310.
+    n = 2310 * 1009**40
+    status, recs = run_lines(capsys, ["check", "-n", str(n),
+                                      "-f", "x^954+1"])
+    assert status == 0 and recs[0]["result"]["value"] is False
+    status, recs = run_lines(capsys, ["check", "-n", str(n),
+                                      "-f", "x^1024+x+1"])
+    assert status == 0 and recs[0]["result"]["value"] is True
+    wide = math.prod(primes_from(1009, 130))**2
+    assert cli.run(["check", "-n", str(wide), "-f", "x^311+1"]) == 2
+    assert capsys.readouterr().err == (
+        "domain error: check takes degree <= 310 modulo an n whose "
+        "distinct primes make a 1365-bit product, got degree 311\n")
 
 
 @pytest.mark.parametrize("argv", [

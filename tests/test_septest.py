@@ -13,7 +13,6 @@ from sepzn.septest import (
     _split_euclid,
     MAX_DET_WORK,
     MAX_EUCLID_WORK,
-    MAX_GCD_WORK,
     MAX_TRACE_DIGITS,
     _det_mod,
     _Rows,
@@ -24,6 +23,7 @@ from sepzn.septest import (
 )
 
 from gcd_reference import separable
+from slow_inputs import slow_inputs
 from tracing import lines_run
 
 
@@ -529,6 +529,19 @@ class TestSeparabilityPrimeField:
         assert is_separable(parse("x^2+x+1", Modulus(2)))
 
 
+# Primes below and above 1000 for moduli that rho factors at once.
+RULE_PRIMES = (2, 3, 5, 7, 997, 1009, 1013, 65537, 999983)
+
+
+def euclid_most(u, work=MAX_EUCLID_WORK):
+    """The largest N with N^2 (b + 32 + b^2 // 96) <= work, b the bit
+    length of u, found by counting up."""
+    b, most = u.bit_length(), 0
+    while (most + 1)**2 * (b + 32 + b * b // 96) <= work:
+        most += 1
+    return most
+
+
 class TestSeparabilityGeneral:
     def test_non_unit_leading_coefficient(self):
         assert is_separable(parse("3x^2+x+5", Modulus(6)))
@@ -587,21 +600,26 @@ class TestSeparabilityGeneral:
     @pytest.mark.parametrize("n, primes", [(2 * 3 * 5 * 7 * 11, 5),
                                            (3**4 * 1009, 2)])
     def test_bound_is_exact(self, n, primes, monkeypatch):
-        # Where m is too wide for the direct route, as it is for n with its
-        # largest prime traded for 1009^60, n is factored and degree N is
-        # taken while N^2 times the number of distinct primes of n is within
-        # MAX_GCD_WORK; the refusal names the largest degree. n itself takes
-        # the direct route past that degree, with factorize raising. x^2
+        # Where the cut m is too wide for f's degree, as it is for n with its
+        # largest prime traded for 1009^60, n is factored and the Euclid runs
+        # over the product of its primes: degree N is taken while N^2 (b +
+        # 32 + b^2 // 96) is within MAX_EUCLID_WORK, b now the bit length of
+        # that product, and the refusal names the largest degree and b. x^2
         # divides x^N, so the verdict is known.
-        largest = max(d for d in range(1, 2000)
-                      if d * d * primes <= MAX_GCD_WORK)
         wide = Modulus(n // Modulus(n).factors[-1][0] * 1009**60)
+        assert len(wide.factors) == primes
+        rad = math.prod(p for p, _ in wide.factors)
+        b, largest = rad.bit_length(), euclid_most(rad)
+        with monkeypatch.context() as patch:
+            patch.setattr(arith, "factorize", refuse_to_factor)
+            with pytest.raises(AssertionError, match="factorize"):
+                # A new Modulus: wide holds its factors already.
+                is_separable(PolyZn(Modulus(wide.n), (0,) * largest + (1,)))
         assert is_separable(PolyZn(wide, (0,) * largest + (1,))) is False
-        with pytest.raises(DomainError, match=f"degree <= {largest} "):
+        with pytest.raises(DomainError, match=f"degree <= {largest} modulo "
+                           f"an n whose distinct primes make a {b}-bit "
+                           f"product, got degree {largest + 1}$"):
             is_separable(PolyZn(wide, (1, 1) + (0,) * (largest - 1) + (1,)))
-        monkeypatch.setattr(arith, "factorize", refuse_to_factor)
-        assert is_separable(PolyZn(Modulus(n), (0,) * (largest + 1)
-                                   + (1,))) is False
 
     def test_direct_bound_is_inclusive(self, monkeypatch):
         # 4000^2 (58 + 32 + 58^2 // 96) is MAX_EUCLID_WORK exactly: degree
@@ -614,23 +632,33 @@ class TestSeparabilityGeneral:
         with pytest.raises(AssertionError, match="factorize"):
             is_separable(PolyZn(m, (1,) + (0,) * 4000 + (1,)))
 
+    def test_factored_bound_is_inclusive(self):
+        # n = p^2 q, p and q primes of 29 bits that rho splits off, is 87
+        # bits wide, too wide for degree 4000 on the direct route; p q is 58
+        # bits, so degree 4000 is the most the factored route takes.
+        p, q = 536870909, 268435459
+        assert (p * q).bit_length() == 58
+        assert 4000**2 * (58 + 32 + 58**2 // 96) == MAX_EUCLID_WORK
+        m = Modulus(p * p * q)
+        assert is_separable(PolyZn(m, (1,) + (0,) * 3999 + (1,)))
+        with pytest.raises(DomainError, match="degree <= 4000 modulo an n "
+                           "whose distinct primes make a 58-bit product"):
+            is_separable(PolyZn(m, (1,) + (0,) * 4000 + (1,)))
+
     @pytest.mark.parametrize("n, beyond", [
-        (2 * 3 * 5 * 7 * 11 * 1009**40, "check takes degree <= 953 modulo "
-         "an n with 6 distinct primes, got degree 954"),
+        (2 * 3 * 5 * 7 * 11 * 1009**40, False),
         ((2**89 - 1) * 1009**100, "cannot factor "),
-        (1009**400, None),
+        (1009**400, True),
     ], ids=["2310*1009^40", "M89*1009^100", "1009^400"])
     def test_direct_bound_is_exact(self, n, beyond, monkeypatch):
         # The direct route takes degree N while N^2 (b + 32 + b^2 // 96) is
         # within MAX_EUCLID_WORK, b the bit length of m (here n itself);
         # with factorize raising, it answers there. One degree more, n is
-        # factored: 2310 * 1009^40 is refused, since its 6 primes allow only
-        # degree 836 and the refusal names the larger bound; (2^89 - 1)
-        # 1009^100 has a prime that factorize cannot certify; 1009^400 is
-        # answered over 1009 alone.
-        b = n.bit_length()
-        most = max(d for d in range(1, 2000)
-                   if d * d * (b + 32 + b * b // 96) <= MAX_EUCLID_WORK)
+        # factored and the Euclid runs over the product of its primes, which
+        # the same rule allows far further: 2310 * 1009^40 and 1009^400 are
+        # answered (x^954 + 1 is a square modulo 2); (2^89 - 1) 1009^100 has
+        # a prime that factorize cannot certify.
+        most = euclid_most(n)
 
         def f(degree):  # x^N + 1, separable where no prime of n divides N
             return PolyZn(Modulus(n), (1,) + (0,) * (degree - 1) + (1,))
@@ -640,11 +668,43 @@ class TestSeparabilityGeneral:
             assert is_separable(f(most))
             with pytest.raises(AssertionError, match="factorize"):
                 is_separable(f(most + 1))
-        if beyond is None:
-            assert is_separable(f(most + 1))
+        if isinstance(beyond, bool):
+            assert is_separable(f(most + 1)) is beyond
         else:
             with pytest.raises(DomainError, match=beyond):
                 is_separable(f(most + 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(RULE_PRIMES), st.integers(1, 6)),
+                    min_size=1, max_size=4, unique_by=lambda pk: pk[0]),
+           st.integers(100_000, 3_000_000), st.integers(1, 120),
+           st.integers(0, 2**32))
+    def test_answers_exactly_where_the_rule_allows(self, powers, work,
+                                                    degree, seed):
+        # With MAX_EUCLID_WORK made small, f of degree N modulo n is
+        # answered without factoring while N is within the rule for the cut
+        # m, through factoring while it is within the rule for the product
+        # of n's primes, and refused beyond; each answer agrees with the
+        # list Euclid modulo each prime.
+        n = math.prod(p**k for p, k in powers)
+        primes = sorted(p for p, _ in powers)
+        cut = math.prod(p if p < 1000 else p**k for p, k in powers)
+        most = euclid_most(math.prod(primes), work)
+        rng = random.Random(seed)
+        coeffs = [rng.randrange(n) for _ in range(degree)] + [1]
+        factored = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(septest, "MAX_EUCLID_WORK", work)
+            patch.setattr(arith, "factorize",
+                          lambda x, go=arith.factorize: factored.append(x)
+                          or go(x))
+            if degree > most:
+                with pytest.raises(DomainError, match=f"degree <= {most} "):
+                    is_separable(PolyZn(Modulus(n), coeffs))
+            else:
+                assert is_separable(PolyZn(Modulus(n), coeffs)) == \
+                    separable(coeffs, primes)
+        assert factored == ([n] if degree > euclid_most(cut, work) else [])
 
     def test_shift_invariance(self):
         for n in (4, 6, 9):
@@ -785,6 +845,31 @@ class TestSplitEuclid:
                           *range(max((1 << w) - (1 << 12), 0), 1 << w)}:
                     assert 0 <= _Rows.reduce(layer, x, u) < 2 * u
         assert remainders > 2 * 30
+
+
+def test_slow_inputs_sit_at_their_bounds():
+    # README's slowest inputs, not run here: each check input is dense at
+    # the most its route takes, the work rule for its cut m (n itself) or,
+    # the squared one, for the product of its primes, its m being too wide
+    # for that degree; the disc input is at the most MAX_DET_WORK takes.
+    inputs = slow_inputs()
+    for name, (command, n, coeffs) in inputs.items():
+        degree, b = PolyZn(Modulus(n), coeffs).degree, n.bit_length()
+        if command == "disc":
+            assert coeffs[-1] == 1
+            assert degree == max(d for d in range(1, 400) if d**3 * (
+                b + 32 + b * b // 768) <= MAX_DET_WORK)
+            continue
+        assert all(coeffs)
+        assert math.gcd(n, math.prod(range(2, 1000))) == 1  # m is n
+        if name.endswith("squared"):
+            rad = math.isqrt(n)
+            assert rad * rad == n
+            assert euclid_most(n) < degree == euclid_most(rad)
+        else:
+            assert degree == euclid_most(n)
+    assert [len(coeffs) - 1 for _, _, coeffs in inputs.values()] == [
+        536, 976, 310, 310, 88]
 
 
 def refuse_to_factor(n):
