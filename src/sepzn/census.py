@@ -81,13 +81,13 @@ def _exact(leq: list[int], ds: range) -> list[int]:
 
 
 def _counts_by_n(ns: range, ds: range, mode: Mode):
-    """(n, counts(Modulus(n), ds, mode)) for each n of ns (step 1, from 2),
-    with no set checked against window.  The rows are built one block of
-    consecutive n at a time by a multiplicative sieve: the row of terms of
-    each p^k, from _counts, is built once per block and multiplied into the
-    row of every n of the block that p^k exactly divides.  Raises what
-    factorize(n) raises at the first n it cannot factor, after the n before
-    it."""
+    """(n, [count(Modulus(n), d, mode) for d in ds]) for each n of ns (step
+    1, from 2), with no set checked against window.  The rows are built one
+    block of consecutive n at a time by a multiplicative sieve: the row of
+    terms of each p^k, from _counts, is built once per block and multiplied
+    into the row of every n of the block that p^k exactly divides.  Raises
+    what factorize(n) raises at the first n it cannot factor, after the n
+    before it."""
     exact = mode == "exact"
     row_ds, row_mode = (_leq_degrees(ds), Mode.LEQ) if exact else (ds, mode)
     row_bits = (len(row_ds) + 1) * (row_ds.stop * ns.stop.bit_length()
@@ -170,18 +170,10 @@ def window(n: int, d: int, mode: Mode) -> tuple[int, int]:
                       f"of more than {MAX_DIGITS} digits")
 
 
-def counts(m: Modulus, ds: range, mode: Mode) -> list[int]:
-    """The separable count of one mode at every degree of ds, from one pass
-    over n's prime powers; refuses what window refuses at the largest d."""
-    if not ds:
-        return []
-    window(m.n, ds[-1], mode)  # refuses a bad mode, degree or size first
-    return _counts(m.factors, ds, mode)
-
-
 def count(m: Modulus, d: int, mode: Mode) -> int:
     """The separable count of one mode, over a set that window accepts."""
-    return counts(m, range(d, d + 1), mode)[0]
+    window(m.n, d, mode)  # refuses a bad mode, degree or size first
+    return _counts(m.factors, range(d, d + 1), mode)[0]
 
 
 def count_leq_recurrence(p: int, k: int, d: int) -> int:

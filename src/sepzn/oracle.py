@@ -38,6 +38,7 @@ import contextlib
 import itertools
 import math
 import os
+import signal
 import time
 from collections import namedtuple
 
@@ -244,7 +245,10 @@ def _walk(walks: list[tuple[int, int, int]],
             # Read as oracle.ProcessPoolExecutor, where it may be replaced.
             pool = (globals().get("ProcessPoolExecutor")
                     or __getattr__("ProcessPoolExecutor"))
-            mapper = stack.enter_context(pool(max_workers=w)).map
+            # A worker ends at SIGINT with no traceback: main reports it once.
+            mapper = stack.enter_context(pool(
+                max_workers=w, initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_DFL))).map
         out = []
         for n, bounds in splits:
             start = time.perf_counter()

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -149,3 +150,49 @@ def test_size_tool_splits_every_line():
         assert code + comment + docstring == lines, name
         assert lines == sum(1 for line in text.splitlines() if line.strip())
     assert total == [sum(column) for column in zip(*rows.values())]
+
+
+def test_pairs_tool_summarizes_pairs():
+    # tools/pairs.py's summary of made-up records, with no benchmark run.
+    path = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("pairs", path)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower",
+                   "bound": 0.25},
+                  {"name": "rate", "unit": "1/s", "better": "higher",
+                   "bound": 0.1}]
+
+    def record(wall, rate, failed=0):
+        return {"correct": not failed, "attempted": 10, "failed": failed,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "rate": {"value": rate, "unit": "1/s"}}}
+
+    records = {"parent": [record(1.0, 10), record(2.0, 10), record(3.0, 10),
+                          record(4.0, 10), record(5.0, 10)],
+               "change": [record(1.0, 8), record(1.5, 9), record(3.5, 9),
+                          record(5.0, 8, failed=2), None]}
+    seeds, first = [7, 8, 9, 10, 11], ["parent", "change"] * 2 + ["parent"]
+    entry, faults = pairs.summarize(seeds, first, 5, records, end_to_end)
+    assert faults == ["change seed 10: correct False, failed 2 of 10",
+                      "change seed 11: no result"]
+    assert entry["failed"] == {"parent": [0] * 5,
+                               "change": [0, 0, 0, 2, None]}
+    assert (entry["pairs"], entry["seconds"], entry["first"]) == (5, 5, first)
+    # The pair with no change record is left out of every metric.
+    wall = entry["metrics"]["wall_s"]
+    assert wall["parent"] == [1.0, 2.0, 3.0, 4.0]
+    assert wall["change"] == [1.0, 1.5, 3.5, 5.0]
+    assert (wall["parent_median"], wall["change_median"]) == (2.5, 2.5)
+    assert wall["parent_quartiles"] == [1.75, 3.25]
+    assert wall["parent_iqr"] == 1.5
+    assert wall["change_wins"] == "1/4"  # the tie at 1.0 counts for neither
+    assert wall["within_bound"] and wall["change_pct"] == 0
+    # Higher is better: 8.5 is more than 10% below 10.
+    rate = entry["metrics"]["rate"]
+    assert (rate["change_median"], rate["change_wins"]) == (8.5, "0/4")
+    assert not rate["within_bound"] and rate["parent_iqr"] == 0
+    lines = pairs.report(entry, faults, end_to_end)
+    assert [line.split()[-2] for line in lines[1:3]] == ["25%", "10%"]
+    assert "BREACH" in lines[2] and "within" in lines[1]
+    assert lines[3:] == ["FAULT " + fault for fault in faults]

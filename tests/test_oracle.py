@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -39,8 +40,8 @@ def serial_pool(monkeypatch):
     log = types.SimpleNamespace(starts=[], maps=[])
 
     class SerialPool:
-        def __init__(self, max_workers):
-            log.starts.append(max_workers)
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            log.starts.append(max_workers)  # runs no initializer here
 
         def __enter__(self):
             return self
@@ -56,6 +57,11 @@ def serial_pool(monkeypatch):
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
     return log
+
+
+def sigint_is_default(n, lo, hi):
+    """A count_range stand-in: 1 where SIGINT has its default action."""
+    return int(signal.getsignal(signal.SIGINT) == signal.SIG_DFL)
 
 
 def space_size(n, d, mode):
@@ -94,7 +100,7 @@ class TestEnumerateCount:
 
         monkeypatch.setattr(arith, "factorize", refuse)
         for name in ("count_monic_separable", "count_separable_leq",
-                     "count_separable_exact", "counts"):
+                     "count_separable_exact", "count"):
             monkeypatch.setattr(census, name, refuse)
         with pytest.raises(BudgetExceeded):  # 2^89 - 1: factorize refuses it
             enumerate_count(Modulus(2**89 - 1), 3, mode, budget=10**8)
@@ -176,6 +182,14 @@ class TestDeterminismAndPartition:
         monkeypatch.setattr(oracle, "count_range", refuse)
         with pytest.raises(DomainError, match="tables of 160 bytes"):
             verify(Modulus(30), 2, workers=2)
+
+    def test_pool_workers_take_sigint_by_default(self, monkeypatch):
+        # Ctrl-C reaches every worker too; each must end silently, with no
+        # KeyboardInterrupt traceback of its own, while this process
+        # reports the interrupt once.  One CPU runs serially, in here.
+        monkeypatch.setattr(oracle, "count_range", sigint_is_default)
+        [(count, _)] = oracle._walk([(5, 0, 125)], workers=2)
+        assert count == (2 if (os.cpu_count() or 1) > 1 else 0)
 
     def test_one_worker_reads_no_cpu_count(self, monkeypatch):
         def refuse():
