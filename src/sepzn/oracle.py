@@ -245,10 +245,12 @@ def _walk(walks: list[tuple[int, int, int]],
             # Read as oracle.ProcessPoolExecutor, where it may be replaced.
             pool = (globals().get("ProcessPoolExecutor")
                     or __getattr__("ProcessPoolExecutor"))
-            # A worker ends at SIGINT with no traceback: main reports it once.
+            # SIGINT ends a worker silently, unless this process ignores it.
+            ignore = signal.getsignal(signal.SIGINT) == signal.SIG_IGN
             mapper = stack.enter_context(pool(
-                max_workers=w, initializer=signal.signal,
-                initargs=(signal.SIGINT, signal.SIG_DFL))).map
+                max_workers=w, initializer=signal.signal, initargs=(
+                    signal.SIGINT, signal.SIG_IGN if ignore
+                    else signal.SIG_DFL))).map
         out = []
         for n, bounds in splits:
             start = time.perf_counter()

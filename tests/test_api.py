@@ -158,20 +158,24 @@ def test_pairs_tool_summarizes_pairs():
     spec = importlib.util.spec_from_file_location("pairs", path)
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
-    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower",
-                   "bound": 0.25},
-                  {"name": "rate", "unit": "1/s", "better": "higher",
-                   "bound": 0.1}]
+    end_to_end = [{"name": name, "unit": "s", "better": better, "bound": bound}
+                  for name, better, bound in [("wall_s", "lower", 0.25),
+                                              ("rate", "higher", 0.1),
+                                              ("rss", "lower", 0.1),
+                                              ("tail", "lower", 0.25)]]
 
-    def record(wall, rate, failed=0):
+    def record(wall, rate, rss, tail, failed=0):
+        values = {"wall_s": wall, "rate": rate, "rss": rss, "tail": tail}
         return {"correct": not failed, "attempted": 10, "failed": failed,
-                "metrics": {"wall_s": {"value": wall, "unit": "s"},
-                            "rate": {"value": rate, "unit": "1/s"}}}
+                "metrics": {name: {"value": value, "unit": "s"}
+                            for name, value in values.items()}}
 
-    records = {"parent": [record(1.0, 10), record(2.0, 10), record(3.0, 10),
-                          record(4.0, 10), record(5.0, 10)],
-               "change": [record(1.0, 8), record(1.5, 9), record(3.5, 9),
-                          record(5.0, 8, failed=2), None]}
+    records = {"parent": [record(1.0, 10, 10, 1), record(2.0, 10, 10, 2),
+                          record(3.0, 10, 11, 3), record(4.0, 10, 10, 4),
+                          record(5.0, 10, 10, 5)],
+               "change": [record(1.0, 8, 10.5, 0.5), record(1.5, 9, 10, 0.6),
+                          record(3.5, 9, 10, 0.7),
+                          record(5.0, 8, 11, 0.8, failed=2), None]}
     seeds, first = [7, 8, 9, 10, 11], ["parent", "change"] * 2 + ["parent"]
     entry, faults = pairs.summarize(seeds, first, 5, records, end_to_end)
     assert faults == ["change seed 10: correct False, failed 2 of 10",
@@ -187,12 +191,22 @@ def test_pairs_tool_summarizes_pairs():
     assert wall["parent_quartiles"] == [1.75, 3.25]
     assert wall["parent_iqr"] == 1.5
     assert wall["change_wins"] == "1/4"  # the tie at 1.0 counts for neither
-    assert wall["within_bound"] and wall["change_pct"] == 0
+    # Equal medians, but an IQR of 60% of the median against a 25% bound.
+    assert wall["verdict"] == "unresolved" and wall["change_pct"] == 0
     # Higher is better: 8.5 is more than 10% below 10.
     rate = entry["metrics"]["rate"]
     assert (rate["change_median"], rate["change_wins"]) == (8.5, "0/4")
-    assert not rate["within_bound"] and rate["parent_iqr"] == 0
+    assert rate["verdict"] == "BREACH" and rate["parent_iqr"] == 0
+    # 10.25 against 10, with an IQR of 2.5% of the median: within 10%.
+    rss = entry["metrics"]["rss"]
+    assert rss["parent_iqr"] == 0.25 and rss["verdict"] == "within"
+    # As wide a spread as wall_s, but every change run beats every parent
+    # run.
+    tail = entry["metrics"]["tail"]
+    assert tail["parent_iqr"] == 1.5 and tail["verdict"] == "within"
     lines = pairs.report(entry, faults, end_to_end)
-    assert [line.split()[-2] for line in lines[1:3]] == ["25%", "10%"]
-    assert "BREACH" in lines[2] and "within" in lines[1]
-    assert lines[3:] == ["FAULT " + fault for fault in faults]
+    assert [line.split()[-2] for line in lines[1:5]] == [
+        "25%", "10%", "10%", "25%"]
+    assert [line.split()[-3] for line in lines[1:5]] == [
+        "unresolved", "BREACH", "within", "within"]
+    assert lines[5:] == ["FAULT " + fault for fault in faults]

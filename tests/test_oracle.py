@@ -59,9 +59,9 @@ def serial_pool(monkeypatch):
     return log
 
 
-def sigint_is_default(n, lo, hi):
-    """A count_range stand-in: 1 where SIGINT has its default action."""
-    return int(signal.getsignal(signal.SIGINT) == signal.SIG_DFL)
+def sigint_is(action, n, lo, hi):
+    """A count_range stand-in: 1 where SIGINT's action is action."""
+    return int(signal.getsignal(signal.SIGINT) == action)
 
 
 def space_size(n, d, mode):
@@ -183,13 +183,25 @@ class TestDeterminismAndPartition:
         with pytest.raises(DomainError, match="tables of 160 bytes"):
             verify(Modulus(30), 2, workers=2)
 
-    def test_pool_workers_take_sigint_by_default(self, monkeypatch):
+    @pytest.mark.parametrize("here, there", [
+        (signal.default_int_handler, signal.SIG_DFL),
+        (signal.SIG_IGN, signal.SIG_IGN)], ids=["default", "ignored"])
+    def test_pool_workers_end_or_ignore_sigint(self, monkeypatch, here,
+                                               there):
         # Ctrl-C reaches every worker too; each must end silently, with no
         # KeyboardInterrupt traceback of its own, while this process
-        # reports the interrupt once.  One CPU runs serially, in here.
-        monkeypatch.setattr(oracle, "count_range", sigint_is_default)
-        [(count, _)] = oracle._walk([(5, 0, 125)], workers=2)
-        assert count == (2 if (os.cpu_count() or 1) > 1 else 0)
+        # reports the interrupt once.  Where this process ignores SIGINT,
+        # as a shell's background job does, the workers must ignore it
+        # too, or a Ctrl-C kills them under a parent that lives on.  One
+        # CPU runs serially, in here.
+        monkeypatch.setattr(oracle, "count_range",
+                            functools.partial(sigint_is, there))
+        previous = signal.signal(signal.SIGINT, here)
+        try:
+            [(count, _)] = oracle._walk([(5, 0, 125)], workers=2)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert count == (2 if (os.cpu_count() or 1) > 1 else here == there)
 
     def test_one_worker_reads_no_cpu_count(self, monkeypatch):
         def refuse():

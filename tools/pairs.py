@@ -1,17 +1,21 @@
 """Run the benchmark of two checkouts in alternating pairs and compare them.
 
     python tools/pairs.py --parent DIR --change DIR --workload W --pairs N \
-        --seconds S --first-seed K [--json FILE]
+        --first-seed K [--json FILE]
 
 Pair i runs `perfbench/run.py --workload W --seed K+i --seconds S` (the
-command BENCHMARK.json names) in each checkout, the parent first on even i
-and the change first on odd i, so that a drift of the host's speed falls on
-both sides alike.  The last line of each run's stdout is its result.
+command BENCHMARK.json names, S its run_seconds) in each checkout, the
+parent first on even i and the change first on odd i, so that a drift of
+the host's speed falls on both sides alike.  The last line of each run's
+stdout is its result.
 
 For each end-to-end metric of BENCHMARK.json it prints the two medians, the
 parent's interquartile range (statistics.quantiles, n=4, inclusive), the
-change's wins out of the pairs (a tie counts for neither side) and whether
-the change's median is within the metric's bound of the parent's.  A run
+change's wins out of the pairs (a tie counts for neither side) and a
+verdict: within, when the change's median is within the metric's bound of
+the parent's; BREACH, when it is not; unresolved, when the parent's IQR is
+wider than the bound (relative to its median), which then cannot tell the
+two apart, unless every change run beats every parent run.  A run
 that is not correct, has failed operations or prints no result is printed
 too, and makes the exit status 1.  --json writes the workload's entry in
 the shape of the `workloads` entries of the BENCH_*.json files.
@@ -51,8 +55,8 @@ def quartiles(values: list) -> list:
 
 def summarize(seeds: list, first: list, seconds: int, records: dict,
               end_to_end: list):
-    """The workload's BENCH_*.json entry, each metric also marked
-    within_bound, and the faults: a line for each run that printed no
+    """The workload's BENCH_*.json entry, each metric with its verdict,
+    and the faults: a line for each run that printed no
     record, was not correct or failed an operation.  records maps each side
     to its records, one per pair, None where a run printed none."""
     entry = {"seeds": seeds, "pairs": len(seeds), "seconds": seconds,
@@ -80,13 +84,21 @@ def summarize(seeds: list, first: list, seconds: int, records: dict,
                    for p, c in zip(values["parent"], values["change"]))
         bound = metric["bound"]
         limit = parent * (1 + bound if lower else 1 - bound)
+        beats_all = (max(values["change"]) < min(values["parent"]) if lower
+                     else min(values["change"]) > max(values["parent"]))
+        if high - low > bound * abs(parent) and not beats_all:
+            verdict = "unresolved"
+        elif change <= limit if lower else change >= limit:
+            verdict = "within"
+        else:
+            verdict = "BREACH"
         entry["metrics"][name] = {
             **values, "parent_median": parent, "change_median": change,
             "parent_quartiles": [low, high],
             "change_quartiles": quartiles(values["change"]),
             "change_pct": 100 * (change - parent) / parent if parent else 0.0,
             "change_wins": f"{wins}/{len(pairs)}", "parent_iqr": high - low,
-            "within_bound": change <= limit if lower else change >= limit}
+            "verdict": verdict}
     return entry, faults
 
 
@@ -97,12 +109,11 @@ def report(entry: dict, faults: list, end_to_end: list) -> list:
     for metric in end_to_end:
         m = entry["metrics"].get(metric["name"])
         if m:
-            verdict = "within" if m["within_bound"] else "BREACH"
             lines.append(
                 f"{metric['name']:12} {m['parent_median']:11.5g} "
                 f"{m['change_median']:11.5g} {m['parent_iqr']:11.3g} "
-                f"{m['change_pct']:+7.1f}% {m['change_wins']:>6}  {verdict} "
-                f"{metric['bound']:.0%} ({metric['unit']})")
+                f"{m['change_pct']:+7.1f}% {m['change_wins']:>6}  "
+                f"{m['verdict']} {metric['bound']:.0%} ({metric['unit']})")
     return lines + [f"FAULT {fault}" for fault in faults]
 
 
@@ -112,13 +123,13 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     spec = json.loads(SPEC.read_text())
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     seeds = [args.first_seed + i for i in range(args.pairs)]
     first = [SIDES[i % 2] for i in range(args.pairs)]
@@ -126,13 +137,13 @@ def main(argv=None) -> int:
     for seed, lead in zip(seeds, first):
         for side in SIDES if lead == "parent" else SIDES[::-1]:
             record = run(checkouts[side], spec["command"], args.workload,
-                         seed, args.seconds)
+                         seed, seconds)
             records[side].append(record)
             wall = record and record["metrics"]["wall_s"]["value"]
             print(f"seed {seed} {side:6} wall_s {wall}", flush=True)
-    entry, faults = summarize(seeds, first, args.seconds, records,
+    entry, faults = summarize(seeds, first, seconds, records,
                               spec["end_to_end"])
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds} s, seeds "
+    print(f"{args.workload}: {args.pairs} pairs of {seconds} s, seeds "
           f"{seeds[0]}-{seeds[-1]}")
     print("\n".join(report(entry, faults, spec["end_to_end"])))
     if args.json:
