@@ -74,8 +74,7 @@ def _record(args) -> int:
 
 
 def _factor(args, m):
-    return {}, {"type": "factorization",
-                "factors": [list(f) for f in m.factors]}, "formula"
+    return {}, {"type": "factorization", "factors": m.factors}, "formula"
 
 
 def _poly(args, m):
@@ -193,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "modulus": f.modulus.n}),
             ("trace-form", "trace-form matrix of a monic polynomial",
              lambda f: {"type": "matrix", "modulus": f.modulus.n,
-                        "entries": [list(row) for row in trace_form(f)]})]:
+                        "entries": trace_form(f)})]:
         add(name, text, ["-n", "-f"], record=_poly, result=result)
     add("count", "closed-form separable count",
         ["--mode", "-n", "-d", "--decimal"], record=_count)

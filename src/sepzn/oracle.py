@@ -11,10 +11,10 @@ criterion Carlitz counts).  So the verdicts mod p come from a square sieve,
 with no gcd: one byte per polynomial of degree <= d, at index sum c_i p^i,
 all 1 but the zero polynomial and every multiple of a g^2 marked 0.  The
 multiples of g^2 are indexed by their coefficients from x^(2e) up, e the
-degree of g, so those in a window of the table are a run of them.  Each
-degree e is set up once for all p^e monic g, one list per coefficient
-indexed by g, only as far as the steps of their runs need; what is left g
-by g is the walk along its run.
+degree of g, so those in a window of the table are a run of them.  The
+p^e monic g of each degree e are set up together, in slices of at most
+_SLICE g, one list per coefficient indexed by g, only as far as the steps
+of their runs need; what is left g by g is the walk along its run.
 
 For prime n a count over [lo, hi) is the number of ones in that window of
 the table, d the degree of index hi - 1, sieved a chunk of max(4 _BLOCK,
@@ -39,6 +39,7 @@ import itertools
 import math
 import os
 import signal
+import sys
 import time
 from collections import namedtuple
 
@@ -54,6 +55,9 @@ _BLOCK = 2**20
 # The most bytes the composite walk's tables may hold at once: p^(d+1) for
 # the largest prime p | n outgrows memory under a raised budget.
 MAX_TABLE_BYTES = 2**30
+# The most monic g that _sieve sets up together: a level's set-up holds
+# about 2e list entries per g, so the peak does not grow with p^e.
+_SLICE = 2**12
 
 
 def __getattr__(name: str):
@@ -79,9 +83,10 @@ class BudgetExceeded(DomainError):
 def _sieve(p: int, d: int, lo: int, hi: int) -> bytearray:
     """Separability over Z/p of the polynomials f of degree <= d with table
     indices sum f_i p^i in [lo, hi), one byte each.  The work is the
-    window's marks, for each degree e <= d/2 one set-up of all the monic g
-    of degree e together, as far as the steps of their runs of multiples
-    in the window need, and then each g's walk along its run."""
+    window's marks, for each degree e <= d/2 one set-up of the monic g of
+    degree e together, _SLICE g at a time, as far as the steps of their
+    runs of multiples in the window need, and then each g's walk along its
+    run."""
     table = bytearray(b"\1") * max(hi - lo, 0)
     if lo == 0 < hi:
         table[0] = 0  # the zero polynomial
@@ -114,49 +119,53 @@ def _sieve(p: int, d: int, lo: int, hi: int) -> bytearray:
         gs = range(lead, lead + p)  # g = x^e + a_0, then + a_i x^i
         for i in range(1, e):
             gs = [g + (a << width * i) for a in range(p) for g in gs]
-        count, squares = len(gs), [g * g for g in gs]
-        # From here on a polynomial of degree < 2e is set up for all count g
-        # at once: one list, coefficient k of the i-th g's at k count + i.
-        s = r = [q >> width * k & mask for k in range(2 * e) for q in squares]
-        # r_j = -(x^(2e + j) mod g^2), r_0 = s (not reduced), so R = sum
-        # m_j r_j.  Where m_0 .. m_(j-1) wrap to 0 and m_j goes up, R moves by
-        # up_j = r_0 + ... + r_j: R_k by c, the index by c p^k ((c - p) p^k
-        # on wrap).
-        rem = up = [0] * len(s)
-        ups = []
-        for j, digit in enumerate(digits):
-            if digit:
-                rem = [(a + digit * b) % p for a, b in zip(rem, r)]
-            if j <= j_max:
-                up = [(a + b) % p for a, b in zip(up, r)]
-                ups.append(up)
-            if j + 1 < len(digits):  # r_(j+1) = x r_j mod g^2
-                shift, high = [0] * count + r[:-count], r[-count:] * (2 * e)
-                r = [(a - c * b) % p for a, b, c in zip(shift, s, high)]
-        # Each g's multiple at first: its index has the base-p digits of
-        # first and then R_(2e - 1) .. R_0, read by Horner's rule.
-        marks = [first * p + c for c in rem[-count:]]
-        for k in reversed(range(0, len(rem) - count, count)):
-            marks = [t * p + c for t, c in zip(marks, rem[k:k + count])]
-        for t in marks:
-            if lo <= t < hi:
-                table[t - lo] = 0
-        if not depth:
-            continue
-        for i, t in enumerate(marks):  # walk the run of the i-th g
-            moves = [[(k, c, c * p**k, (c - p) * p**k)
-                      for k, c in enumerate(u[i::count]) if c] for u in ups]
-            rem_i, t = rem[i::count], t - lo  # its R, as the walk goes
-            for j in depth:  # step to the next m, mark it
-                t += block
-                for k, c, step, wrap in moves[j]:
-                    v = rem_i[k] + c
-                    if v < p:
-                        rem_i[k], t = v, t + step
-                    else:
-                        rem_i[k], t = v - p, t + wrap
-                if t < size:
-                    table[t] = 0
+        for at in range(0, len(gs), _SLICE):
+            sq = [g * g for g in gs[at:at + _SLICE]]  # the slice's g^2
+            count = len(sq)
+            # From here on a polynomial of degree < 2e is set up for all
+            # count g of the slice at once: one list, coefficient k of the
+            # i-th g's at k count + i.
+            s = r = [q >> width * k & mask for k in range(2 * e) for q in sq]
+            # r_j = -(x^(2e + j) mod g^2), r_0 = s (not reduced), so R =
+            # sum m_j r_j.  Where m_0 .. m_(j-1) wrap to 0 and m_j goes up,
+            # R moves by up_j = r_0 + ... + r_j: R_k by c, the index by
+            # c p^k ((c - p) p^k on wrap).
+            rem = up = [0] * len(s)
+            ups = []
+            for j, digit in enumerate(digits):
+                if digit:
+                    rem = [(a + digit * b) % p for a, b in zip(rem, r)]
+                if j <= j_max:
+                    up = [(a + b) % p for a, b in zip(up, r)]
+                    ups.append(up)
+                if j + 1 < len(digits):  # r_(j+1) = x r_j mod g^2
+                    shift, high = [0] * count + r[:-count], r[-count:] * 2 * e
+                    r = [(a - c * b) % p for a, b, c in zip(shift, s, high)]
+            # Each g's multiple at first: its index has the base-p digits of
+            # first and then R_(2e - 1) .. R_0, read by Horner's rule.
+            marks = [first * p + c for c in rem[-count:]]
+            for k in reversed(range(0, len(rem) - count, count)):
+                marks = [t * p + c for t, c in zip(marks, rem[k:k + count])]
+            for t in marks:
+                if lo <= t < hi:
+                    table[t - lo] = 0
+            if not depth:
+                continue
+            for i, t in enumerate(marks):  # walk the run of the i-th g
+                moves = [[(k, c, c * p**k, (c - p) * p**k)
+                          for k, c in enumerate(u[i::count]) if c]
+                         for u in ups]
+                rem_i, t = rem[i::count], t - lo  # its R, as the walk goes
+                for j in depth:  # step to the next m, mark it
+                    t += block
+                    for k, c, step, wrap in moves[j]:
+                        v = rem_i[k] + c
+                        if v < p:
+                            rem_i[k], t = v, t + step
+                        else:
+                            rem_i[k], t = v - p, t + wrap
+                    if t < size:
+                        table[t] = 0
     return table
 
 
@@ -242,9 +251,9 @@ def _walk(walks: list[tuple[int, int, int]],
             for n, bounds in splits:
                 for a, b in zip(bounds, bounds[1:]):
                     _layout(n, a, b)  # a worker's refusal, before the pool
-            # Read as oracle.ProcessPoolExecutor, where it may be replaced.
-            pool = (globals().get("ProcessPoolExecutor")
-                    or __getattr__("ProcessPoolExecutor"))
+            # Read through the module: the first read imports the class
+            # (__getattr__), and a test or tracer may have replaced it.
+            pool = sys.modules[__name__].ProcessPoolExecutor
             # SIGINT ends a worker silently, unless this process ignores it.
             ignore = signal.getsignal(signal.SIGINT) == signal.SIG_IGN
             mapper = stack.enter_context(pool(
@@ -259,15 +268,21 @@ def _walk(walks: list[tuple[int, int, int]],
         return out
 
 
+def _within(walks: list, budget: int) -> list:
+    """walks, each (n, lo, hi), refused when they hold more than budget
+    tuples in all."""
+    if (total := sum(hi - lo for _, lo, hi in walks)) > budget:
+        raise BudgetExceeded(total, budget)
+    return walks
+
+
 def enumerate_count(m: Modulus, d: int, mode: Mode,
                     budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
     """Exact count of separable polynomials in the set census.window(m.n,
     d, mode) places; with workers > 1 its index range runs on at most one
     process per CPU."""
-    lo, hi = census.window(m.n, d, mode)
-    if hi - lo > budget:
-        raise BudgetExceeded(hi - lo, budget)
-    [(count, _)] = _walk([(m.n, lo, hi)], workers)
+    walks = [(m.n, *census.window(m.n, d, mode))]
+    [(count, _)] = _walk(_within(walks, budget), workers)
     return count
 
 
@@ -287,10 +302,7 @@ def crt_product_count(m: Modulus, d: int, mode: Mode,
                if Mode(mode) is Mode.EXACT and d >= 1 else [(d, mode)])
     walks = [(p**k, *census.window(p**k, e, q))
              for e, q in queries for p, k in m.factors]
-    total = sum(hi - lo for _, lo, hi in walks)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    counts = (count for count, _ in _walk(walks, workers))
+    counts = (count for count, _ in _walk(_within(walks, budget), workers))
     first, *rest = [math.prod(itertools.islice(counts, len(m.factors)))
                     for _ in queries]
     return first - sum(rest)

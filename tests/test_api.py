@@ -210,3 +210,24 @@ def test_pairs_tool_summarizes_pairs():
     assert [line.split()[-3] for line in lines[1:5]] == [
         "unresolved", "BREACH", "within", "within"]
     assert lines[5:] == ["FAULT " + fault for fault in faults]
+    # A gain needs 9 of 10 wins and medians apart by more than the
+    # parent's IQR: only tail has both.
+    assert [entry["metrics"][name]["gain"] for name in
+            ("wall_s", "rate", "rss", "tail")] == [False, False, False, True]
+    assert [line.split()[-4] for line in lines[1:5]] == ["-", "-", "-", "gain"]
+    # Ten made-up pairs, the parent's runs 10 .. 19 (IQR 4.5): 10/10 wins
+    # by 5 (gain); 8/10 wins by 10, the two lost by 1, medians 8 apart (no
+    # gain); and 10/10 wins by 1, inside the IQR (no gain).
+    parent = [10.0 + i for i in range(10)]
+    records = {"parent": [record(v, v, v, v) for v in parent],
+               "change": [record(v - 5, v + (10 if i < 8 else -1), v - 1, v)
+                          for i, v in enumerate(parent)]}
+    entry, faults = pairs.summarize(list(range(10)), ["parent"] * 10, 5,
+                                    records, end_to_end)
+    assert faults == []
+    metrics = entry["metrics"]
+    assert metrics["wall_s"]["parent_iqr"] == 4.5
+    assert metrics["rate"]["change_median"] - 14.5 == 8
+    assert [(metrics[name]["change_wins"], metrics[name]["gain"])
+            for name in ("wall_s", "rate", "rss", "tail")] == [
+        ("10/10", True), ("8/10", False), ("10/10", False), ("0/10", False)]

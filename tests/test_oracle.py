@@ -183,6 +183,22 @@ class TestDeterminismAndPartition:
         with pytest.raises(DomainError, match="tables of 160 bytes"):
             verify(Modulus(30), 2, workers=2)
 
+    @pytest.mark.parametrize("count, required", [
+        (enumerate_count, 120**4), (crt_product_count, 8**4 + 3**4 + 5**4)])
+    def test_budget_refused_before_any_part_is_sized(self, monkeypatch,
+                                                     count, required):
+        # The budget holds the command's walks in all, and refuses them
+        # before _walk sizes a worker's part or starts a pool.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sized or pooled over budget")
+
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(oracle, "_layout", refuse)
+        with pytest.raises(BudgetExceeded) as e:
+            count(Modulus(120), 3, Mode.LEQ, budget=required - 1, workers=2)
+        assert (e.value.required, e.value.budget) == (required, required - 1)
+
     @pytest.mark.parametrize("here, there", [
         (signal.default_int_handler, signal.SIG_DFL),
         (signal.SIG_IGN, signal.SIG_IGN)], ids=["default", "ignored"])
@@ -722,6 +738,36 @@ class TestSieve:
         assert window == kernel_table(1009, 2, lo, lo + 2000)
         assert lines < 100 * 1009
         assert lines < 40 * 1009
+
+    @settings(max_examples=100, deadline=None)
+    @given(sieve_windows(), st.integers(1, 5))
+    @example((5, 6, 5**6 + 7, 2 * 5**6 - 2), 4)  # 125 g of degree 3
+    def test_sliced_setup_marks_what_one_slice_marks(self, window, size):
+        # Each level of these windows fits one slice of the module's
+        # _SLICE; set up a few g at a time, it must come out the same.
+        p, d, lo, hi = window
+        whole = oracle._sieve(p, d, lo, hi)
+        with mock.patch.object(oracle, "_SLICE", size):
+            assert oracle._sieve(p, d, lo, hi) == whole
+
+    def test_setup_memory_is_per_slice(self):
+        # A window of the degree 6 table mod 13 sets up all 2197 monic g of
+        # degree 3, about 2e list entries each, in one slice; 64 at a time
+        # the set-up holds a fraction of that.
+        def sieve():
+            tracemalloc.start()
+            try:
+                table = oracle._sieve(13, 6, 13**6, 13**6 + 2000)
+                return table, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert 13**3 <= oracle._SLICE
+        whole, peak = sieve()
+        with mock.patch.object(oracle, "_SLICE", 64):
+            sliced, sliced_peak = sieve()
+        assert sliced == whole == kernel_table(13, 6, 13**6, 13**6 + 2000)
+        assert 3 * sliced_peak < peak
 
     def test_setup_follows_the_steps(self):
         # The monic quartics mod 7: 49 multiples of each of the 7 squares

@@ -15,10 +15,13 @@ change's wins out of the pairs (a tie counts for neither side) and a
 verdict: within, when the change's median is within the metric's bound of
 the parent's; BREACH, when it is not; unresolved, when the parent's IQR is
 wider than the bound (relative to its median), which then cannot tell the
-two apart, unless every change run beats every parent run.  A run
-that is not correct, has failed operations or prints no result is printed
-too, and makes the exit status 1.  --json writes the workload's entry in
-the shape of the `workloads` entries of the BENCH_*.json files.
+two apart, unless every change run beats every parent run.  The column
+before that verdict reads gain when the change may claim a gain on the
+metric: it wins at least nine tenths of the pairs, and its median is better
+than the parent's by more than the parent's IQR (the entry's "gain").  A
+run that is not correct, has failed operations or prints no result is
+printed too, and makes the exit status 1.  --json writes the workload's
+entry in the shape of the `workloads` entries of the BENCH_*.json files.
 """
 
 import argparse
@@ -92,27 +95,30 @@ def summarize(seeds: list, first: list, seconds: int, records: dict,
             verdict = "within"
         else:
             verdict = "BREACH"
+        better = parent - change if lower else change - parent
         entry["metrics"][name] = {
             **values, "parent_median": parent, "change_median": change,
             "parent_quartiles": [low, high],
             "change_quartiles": quartiles(values["change"]),
             "change_pct": 100 * (change - parent) / parent if parent else 0.0,
             "change_wins": f"{wins}/{len(pairs)}", "parent_iqr": high - low,
-            "verdict": verdict}
+            "verdict": verdict,
+            "gain": 10 * wins >= 9 * len(pairs) and better > high - low}
     return entry, faults
 
 
 def report(entry: dict, faults: list, end_to_end: list) -> list:
     """The lines printed for one workload's summary."""
     lines = [f"{'metric':12} {'parent':>11} {'change':>11} {'parent IQR':>11} "
-             f"{'diff':>8} {'wins':>6}  bound"]
+             f"{'diff':>8} {'wins':>6} {'gain':4}  bound"]
     for metric in end_to_end:
         m = entry["metrics"].get(metric["name"])
         if m:
             lines.append(
                 f"{metric['name']:12} {m['parent_median']:11.5g} "
                 f"{m['change_median']:11.5g} {m['parent_iqr']:11.3g} "
-                f"{m['change_pct']:+7.1f}% {m['change_wins']:>6}  "
+                f"{m['change_pct']:+7.1f}% {m['change_wins']:>6} "
+                f"{'gain' if m['gain'] else '-':4}  "
                 f"{m['verdict']} {metric['bound']:.0%} ({metric['unit']})")
     return lines + [f"FAULT {fault}" for fault in faults]
 
